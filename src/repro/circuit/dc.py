@@ -320,7 +320,7 @@ def _newton_dc_batch(
 
 def dc_operating_point_batch(
     circuits: Sequence[Circuit],
-    at_time: float = 0.0,
+    at_time: "float | Sequence[float]" = 0.0,
     initial_voltages: Sequence[Mapping[str, float] | None] | None = None,
     mnas: Sequence[MnaSystem] | None = None,
     backend: str = "auto",
@@ -341,7 +341,10 @@ def dc_operating_point_batch(
         The variants; all must share one topology signature (identical
         structure — only source *values* may differ).
     at_time:
-        Time at which time-varying sources are sampled.
+        Time at which time-varying sources are sampled: one time for
+        every variant, or one per variant (aligned with ``circuits``) —
+        a transient group whose variants start at different origins
+        still takes one stacked pass.
     initial_voltages:
         Optional per-variant Newton seeds (one mapping or ``None`` per
         circuit).
@@ -372,6 +375,11 @@ def dc_operating_point_batch(
     seeds = list(initial_voltages) if initial_voltages is not None \
         else [None] * len(circuits)
     require(len(seeds) == len(circuits), "one seed mapping per circuit")
+    times = np.asarray(at_time, dtype=np.float64)
+    if times.ndim == 0:
+        times = np.full(len(circuits), times)
+    require(times.shape == (len(circuits),), "one at_time per circuit")
+    times = times.tolist()
 
     batch = len(circuits)
     node_names = tuple(mna0.node_names)
@@ -382,7 +390,7 @@ def dc_operating_point_batch(
     keys: list[str | None] = [None] * batch
     if memo is not None:
         for b in range(batch):
-            keys[b] = memo.key(circuits[b], systems[b], at_time, seeds[b])
+            keys[b] = memo.key(circuits[b], systems[b], times[b], seeds[b])
             if keys[b] is not None:
                 cached = memo.lookup(keys[b], systems[b])
                 if cached is not None:
@@ -392,7 +400,7 @@ def dc_operating_point_batch(
     if not pending:
         return results  # type: ignore[return-value]
 
-    rhs = np.stack([systems[b].source_rhs(at_time) for b in pending])
+    rhs = np.stack([systems[b].source_rhs(times[b]) for b in pending])
     x0 = np.zeros((len(pending), mna0.size))
     for i, b in enumerate(pending):
         mna0.seed_vector(seeds[b], out=x0[i])
@@ -424,7 +432,7 @@ def dc_operating_point_batch(
         else:
             # The scalar fallback handles its own memoisation.
             results[b] = dc_operating_point(
-                circuits[b], at_time=at_time,
+                circuits[b], at_time=times[b],
                 initial_voltages=dict(seeds[b] or {}), mna=systems[b],
                 backend=backend)
     return results  # type: ignore[return-value]

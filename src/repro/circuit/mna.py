@@ -28,11 +28,11 @@ from .mosfet import mosfet_eval
 from .netlist import GROUND, Circuit
 from .solvers import (HAVE_SCIPY, BorderedBanded, MatrixStructure,
                       PatternFrozenLu, _BANDED_MAX_BANDWIDTH, _MAX_BORDER,
-                      _MIN_STRUCTURED_SIZE, analyze_pattern)
+                      _MIN_STRUCTURED_SIZE, analyze_pattern, sparse_csr)
 
 __all__ = ["MnaSystem", "stacked_newton", "SparseStampMaps",
            "NewtonPartition", "SparseNewtonStep", "BorderedNewtonStep",
-           "clear_analysis_cache"]
+           "RowScatter", "clear_analysis_cache"]
 
 #: Conductance to ground added on every node diagonal for matrix robustness.
 DEFAULT_GMIN = 1e-9
@@ -142,6 +142,49 @@ class NewtonPartition:
     core_structure: MatrixStructure = field(repr=False)
 
 
+#: Above this many cells a :class:`RowScatter` always takes the CSR
+#: product: the dense matmul costs O(cells · B) per call and dominates
+#: large RC bundles.
+_SPARSE_SCATTER_CELLS = 32768
+
+
+class RowScatter:
+    """Stacked scatter ``v @ m`` for a 0/±1 matrix ``m`` (one-hot fold or
+    signed incidence) whose rows do not depend on how many are stacked.
+
+    The batch engines promise that a variant's result does not depend on
+    its stack mates — the dense Newton path of a fixed-grid group then
+    gives every job the same bits in any group (see
+    :func:`~repro.circuit.transient.simulate_transient_many`).  A BLAS
+    product may sum a destination's terms in any order, and the order
+    differs between one stacked row (gemv) and several (gemm).  A
+    destination fed by at most two sources is exact under every order
+    (the ±1 products and the zero terms are exact, and a two-term sum
+    commutes), so small scatters with that fan-in stay one dense matmul.
+    Wider fan-in, and scatters past :data:`_SPARSE_SCATTER_CELLS`, take
+    a CSR product, which accumulates every destination in one fixed
+    order for any number of rows.  The choice is made on first use: most
+    compiled systems (every group member but the first, every scalar
+    run) never scatter a stack.
+    """
+
+    def __init__(self, m: np.ndarray):
+        self._m = m
+        self._csr_t: "object | None | bool" = False  # False = unbuilt
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """``(B, rows) → (B, cols)``."""
+        if self._csr_t is False:
+            m = self._m
+            fan_in = np.count_nonzero(m, axis=0)
+            wide = fan_in.size > 0 and int(fan_in.max()) > 2
+            self._csr_t = sparse_csr(m.T) \
+                if wide or m.size >= _SPARSE_SCATTER_CELLS else None
+        if self._csr_t is None:
+            return v @ self._m
+        return (self._csr_t @ v.T).T
+
+
 class MnaSystem:
     """Compiled MNA view of a circuit.
 
@@ -226,21 +269,21 @@ class MnaSystem:
             self._mos_d_ok = self.mos_d >= 0
             self._mos_s_ok = self.mos_s >= 0
 
-            # Dense scatter operators for the batched path: duplicate
-            # Jacobian/rhs destinations are folded by a one-hot matmul
-            # (one BLAS call per Newton iteration instead of np.add.at).
+            # Scatter operators for the batched path: duplicate
+            # Jacobian/rhs destinations are folded by a one-hot product
+            # (one call per Newton iteration instead of np.add.at).
             uniq, inv = np.unique(self._mos_flat, return_inverse=True)
             onehot = np.zeros((self._mos_flat.size, uniq.size))
             onehot[np.arange(self._mos_flat.size), inv] = 1.0
             self._mos_flat_uniq = uniq
-            self._mos_jac_scatter = onehot
+            self._mos_jac_scatter = RowScatter(onehot)
             rhs_rows = np.concatenate([self.mos_d[self._mos_d_ok],
                                        self.mos_s[self._mos_s_ok]])
             uniq_r, inv_r = np.unique(rhs_rows, return_inverse=True)
             onehot_r = np.zeros((rhs_rows.size, uniq_r.size))
             onehot_r[np.arange(rhs_rows.size), inv_r] = 1.0
             self._mos_rhs_uniq = uniq_r
-            self._mos_rhs_scatter = onehot_r
+            self._mos_rhs_scatter = RowScatter(onehot_r)
 
     # ------------------------------------------------------------------
     def index_of(self, node: str) -> int:
@@ -676,7 +719,7 @@ class MnaSystem:
             return
         vals, ieq = self._mos_lin_batch(x)
         a_flat = a.reshape(x.shape[0], -1)
-        a_flat[:, self._mos_flat_uniq] += vals[:, self._mos_valid] @ self._mos_jac_scatter
+        a_flat[:, self._mos_flat_uniq] += self._mos_jac_scatter(vals[:, self._mos_valid])
         self._stamp_mos_rhs_batch(rhs, ieq)
 
     def _mos_lin_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -699,7 +742,7 @@ class MnaSystem:
         """Scatter companion currents onto stacked right-hand sides."""
         contrib = np.concatenate([ieq[:, self._mos_d_ok], -ieq[:, self._mos_s_ok]],
                                  axis=1)
-        rhs[:, self._mos_rhs_uniq] += contrib @ self._mos_rhs_scatter
+        rhs[:, self._mos_rhs_uniq] += self._mos_rhs_scatter(contrib)
 
     def stamp_mosfets_data_batch(self, data: np.ndarray, rhs: np.ndarray,
                                  x: np.ndarray, maps: SparseStampMaps) -> None:
@@ -709,7 +752,7 @@ class MnaSystem:
         if self.n_mosfets == 0:
             return
         vals, ieq = self._mos_lin_batch(x)
-        data[:, maps.mos_pos_uniq] += vals[:, self._mos_valid] @ self._mos_jac_scatter
+        data[:, maps.mos_pos_uniq] += self._mos_jac_scatter(vals[:, self._mos_valid])
         self._stamp_mos_rhs_batch(rhs, ieq)
 
     def mosfet_currents(self, x: np.ndarray) -> np.ndarray:
@@ -862,7 +905,7 @@ class BorderedNewtonStep:
         batch = x.shape[0]
         vals, ieq = mna._mos_lin_batch(x)
         delta = np.zeros((batch, self._nb * self._nb))
-        delta[:, self._flat_uniq] += vals[:, mna._mos_valid] @ mna._mos_jac_scatter
+        delta[:, self._flat_uniq] += mna._mos_jac_scatter(vals[:, mna._mos_valid])
         mna._stamp_mos_rhs_batch(rhs, ieq)
         return self._bb.solve(rhs, delta.reshape(batch, self._nb, self._nb))
 

@@ -24,19 +24,34 @@ Python cost across those variants:
   ``np.linalg.solve``.
 * :func:`simulate_transient_many` — a list of independent
   :class:`TransientJob` simulations.  Jobs are grouped by
-  :meth:`~repro.circuit.mna.MnaSystem.topology_signature` (plus time grid
-  and solver options); each compatible group runs through the batched
-  engine, singleton groups fall back to the scalar path.
+  :func:`job_group_key` — the
+  :meth:`~repro.circuit.mna.MnaSystem.topology_signature` plus step and
+  solver options (and, for adaptive jobs only, the start time); each
+  compatible group runs through the batched engine, singleton groups
+  fall back to the scalar path.
 
 In fixed-grid mode both return results numerically equivalent to running
 :func:`simulate_transient` per variant: the batched Newton iteration
 freezes converged variants and applies the same per-variant convergence
 and voltage-limiting tests as the scalar loop, and a variant whose step
 fails to converge falls back to the scalar recursive step-halving path on
-its own.  Variants may have different ``t_stop`` values (sharing
-``t_start``/``dt``); each result is truncated to its own window.  (For
-the adaptive mode's batched-vs-scalar contract see *Adaptive time
-stepping* below.)
+its own, from its own time.  Fixed-grid groups are cut by topology, not
+by time origin: variants share ``dt`` but may differ in ``t_start`` and
+``t_stop``, each advancing on its own axis ``t_start_b + k·dt`` —
+bit-identical to the scalar grid — with its initial DC solved at its
+own origin in one stacked pass.  Step ``k`` of the stacked loop is step
+``k`` of every live variant; a variant leaves the stack when its window
+ends.  Solutions and source series are stored *packed* (variant ``b``
+owns ``n_b + 1`` rows at its own offset of one flat buffer), so each
+result is an unpadded view and a group whose windows differ severalfold
+costs no padding.  On the dense Newton path a variant's result does
+not depend on its stack mates either: device and capacitor stamps fold
+through :class:`~repro.circuit.mna.RowScatter`, whose rows round the
+same for any stack width, and the stacked LU solves one matrix at a
+time — so a job gets the same bits in any group of two or more (what
+keeps split fixed-grid groups bit-identical across shards).  Adaptive
+groups keep a shared ``t_start`` (see :func:`job_group_key`; the
+batched-vs-scalar contract is under *Adaptive time stepping* below).
 
 Adaptive time stepping
 ----------------------
@@ -160,7 +175,7 @@ from ..core.waveform import Waveform
 from .dc import dc_operating_point, dc_operating_point_batch
 from .kernels.backend import resolve_kernel
 from .kernels.step_kernels import companion_rhs
-from .mna import MnaSystem, stacked_newton
+from .mna import MnaSystem, RowScatter, stacked_newton
 from .netlist import Circuit
 from .solvers import BACKENDS, factorize, select_backend, sparse_csr
 from .sources import as_source
@@ -337,8 +352,9 @@ class TransientJob:
     """One independent transient simulation, for :func:`simulate_transient_many`.
 
     Mirrors the parameters of :func:`simulate_transient`; jobs whose
-    circuits share a topology (and whose ``t_start``/``dt``/``options``
-    agree) are solved together through the batched engine.
+    circuits share a topology (and whose ``dt``/``use_ic``/``options``
+    agree — and, for adaptive jobs, ``t_start``) are solved together
+    through the batched engine.
     """
 
     circuit: Circuit
@@ -405,9 +421,9 @@ def _cap_voltages(mna: MnaSystem, x: np.ndarray) -> np.ndarray:
     return vi - vj
 
 
-#: Above this many pattern cells (``n_caps × size``) the batched capacitor
-#: gather/scatter goes through a CSR incidence matrix instead of a dense
-#: matmul (the dense product costs O(n_caps · size · B) per step and
+#: Above this many pattern cells (``n_caps × size``) the linear engine's
+#: companion-conductance matvec goes through a CSR matrix instead of a
+#: dense matmul (the dense product costs O(size² · B) per step and
 #: dominates large RC bundles; tiny circuits keep the cheaper dense path).
 _SPARSE_CAP_CELLS = 32768
 
@@ -497,8 +513,7 @@ class _StepMatrixCache:
         self._gi = np.where(mna.cap_i >= 0, mna.cap_i, mna.size)
         self._gj = np.where(mna.cap_j >= 0, mna.cap_j, mna.size)
         self._xpad: np.ndarray | None = None
-        self._cap_csr_t = None
-        self._cap_csr_t_built = False
+        self._cap_scatter: RowScatter | None = None
         self._cap_s: object | None = None
 
     def cap_s_matvec(self, x: np.ndarray) -> np.ndarray:
@@ -596,22 +611,16 @@ class _StepMatrixCache:
         return self._xpad[:, self._gi] - self._xpad[:, self._gj]
 
     def cap_scatter(self, ieq: np.ndarray) -> np.ndarray:
-        """Companion currents ``(B, n_caps)`` scattered onto ``(B, size)``."""
-        if not self._cap_csr_t_built:
-            # Built on first use only (the linear engine never scatters —
-            # it threads node-space state through cap_s_matvec instead):
-            # a pre-transposed CSR of the incidence, since `.T` per step
-            # would rebuild it and the dense matmul costs
-            # O(n_caps · size · B) on large RC bundles.
-            mna = self.mna
-            if mna.n_caps and mna.n_caps * mna.size >= _SPARSE_CAP_CELLS:
-                csr = sparse_csr(mna.cap_incidence())
-                if csr is not None:
-                    self._cap_csr_t = csr.T.tocsr()
-            self._cap_csr_t_built = True
-        if self._cap_csr_t is not None:
-            return (self._cap_csr_t @ ieq.T).T
-        return ieq @ self.mna.cap_incidence()
+        """Companion currents ``(B, n_caps)`` scattered onto ``(B, size)``.
+
+        Through a :class:`~repro.circuit.mna.RowScatter` of the incidence
+        (built on first use — the linear engine never scatters), so each
+        variant's row is independent of the stack width: a node shared
+        by three or more capacitors accumulates in one fixed order.
+        """
+        if self._cap_scatter is None:
+            self._cap_scatter = RowScatter(self.mna.cap_incidence())
+        return self._cap_scatter(ieq)
 
 
 def _newton_solve(
@@ -871,29 +880,34 @@ def simulate_transient(
 
 def _advance_batch(
     mnas: Sequence[MnaSystem],
+    variants: np.ndarray,
     cache: _StepMatrixCache,
     x_prev: np.ndarray,
     ieq_prev: np.ndarray,
-    t_prev: float,
+    t_prev: np.ndarray,
     rhs: np.ndarray,
     opts: TransientOptions,
     stats: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One stacked trapezoidal Newton step for every variant in ``mnas``.
+    """One stacked trapezoidal Newton step for the ``variants`` of a group.
 
     The *nonlinear* (MOSFET) batch step — linear groups take the
     node-space recursion inside :func:`_simulate_group` instead.
-    ``rhs`` carries the source right-hand sides at the step's end time
-    (one row per variant); it is owned by this call and overwritten with
-    the capacitor companion currents.  ``ieq_prev`` is the threaded
-    companion-current state ``geq·v_cap + i_cap`` at ``x_prev``: the
-    trapezoidal identity ``ieq_new = 2·geq·v_cap_new − ieq_prev`` makes
-    it the only capacitor history the full-step recursion needs (one
-    gather and one fused multiply-add per step, instead of maintaining
-    ``i_cap`` and ``v_cap`` separately).  Variants whose Newton iteration
-    fails at the full step fall back, individually, to the scalar
-    recursive step-halving path; the rest advance together.  Returns
-    ``(x_new, ieq_new)``.
+    ``variants`` holds the group indices (into ``mnas``) of the stacked
+    rows and ``t_prev`` each row's own start time (variants of one group
+    may sit on different time origins).  ``rhs`` carries the source
+    right-hand sides at each row's step end time; it is owned by this
+    call and overwritten with the capacitor companion currents.
+    ``ieq_prev`` is the threaded companion-current state
+    ``geq·v_cap + i_cap`` at ``x_prev``: the trapezoidal identity
+    ``ieq_new = 2·geq·v_cap_new − ieq_prev`` makes it the only capacitor
+    history the full-step recursion needs (one gather and one fused
+    multiply-add per step, instead of maintaining ``i_cap`` and
+    ``v_cap`` separately).  Variants whose Newton iteration fails at the
+    full step fall back, individually, to the scalar recursive
+    step-halving path from their own ``t_prev``; the rest advance
+    together.  A :class:`ConvergenceError` names the failing variant's
+    group index and its own time.  Returns ``(x_new, ieq_new)``.
     """
     mna0 = cache.mna
     a_base, _, h = cache.get_h(cache.base_dt)
@@ -911,20 +925,28 @@ def _advance_batch(
                                     backend=cache.kernel)
 
     if not ok.all():
-        if opts.max_halvings < 1:
+        failed = np.nonzero(~ok)[0]
+        if opts.max_halvings < 1 or (opts.min_step > 0.0
+                                     and h / 2 < opts.min_step):
+            pos = int(failed[0])
             raise ConvergenceError(
-                f"Newton failed at t={t_prev + h:.4e}s even at dt={h:.2e}s"
-            )
-        for pos in np.nonzero(~ok)[0]:
+                f"Newton failed for group variant {int(variants[pos])} at "
+                f"t={float(t_prev[pos]) + h:.4e}s even at dt={h:.2e}s")
+        for pos in failed:
+            b = int(variants[pos])
+            t_b = float(t_prev[pos])
             stats["halvings"] += 1
             # Recover the scalar-path state (i_cap) from the threaded ieq.
             i_cap_pos = ieq_prev[pos] - geq * _cap_voltages(mna0, x_prev[pos])
-            x_mid, i_mid = _advance_scalar(mnas[pos], cache, x_prev[pos],
-                                           i_cap_pos, t_prev, h / 2, opts,
-                                           stats, opts.max_halvings - 1)
-            x_fin, i_fin = _advance_scalar(mnas[pos], cache, x_mid, i_mid,
-                                           t_prev + h / 2, h / 2, opts,
-                                           stats, opts.max_halvings - 1)
+            try:
+                x_mid, i_mid = _advance_scalar(mnas[b], cache, x_prev[pos],
+                                               i_cap_pos, t_b, h / 2, opts,
+                                               stats, opts.max_halvings - 1)
+                x_fin, i_fin = _advance_scalar(mnas[b], cache, x_mid, i_mid,
+                                               t_b + h / 2, h / 2, opts,
+                                               stats, opts.max_halvings - 1)
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"group variant {b}: {exc}") from exc
             x_new[pos] = x_fin
             fallback.append((int(pos), i_fin))
     t0 = perf_counter() if timers is not None else 0.0
@@ -941,30 +963,39 @@ def _advance_batch(
 def _group_setup(jobs: Sequence[TransientJob], mnas: Sequence[MnaSystem]):
     """Shared preamble of the fixed-grid and adaptive group engines.
 
-    Validates every job's window, solves the group's initial states in
-    one stacked DC pass (or applies UIC seeds — grouping guarantees a
-    uniform ``use_ic`` flag), and precomputes the compact source series
-    for every full base step — on the structurally nonzero rhs rows only
-    (the full ``(B, T, size)`` series would be O(T · size) mostly-zero
-    memory).  Returns ``(opts, steps_arr, times, x, src_cols,
-    src_vals)``.
+    Validates every job's window and gives each variant its own time
+    axis ``t_start_b + k·dt`` (``k = 0..n_b``) — exactly the grid
+    :func:`simulate_transient` would use for that job alone, so a
+    fixed-grid group may mix time origins (adaptive groups share one,
+    see :func:`job_group_key`).  Solves the group's initial states in
+    one stacked DC pass, each at its own origin (or applies UIC seeds —
+    grouping guarantees a uniform ``use_ic`` flag), and precomputes the
+    compact source series at every grid point — on the structurally
+    nonzero rhs rows only (the full series would be O(T · size)
+    mostly-zero memory).
+
+    Windows in one group may differ severalfold, so the per-variant
+    series are *packed*, not padded: variant ``b`` owns rows
+    ``offsets[b]:offsets[b + 1]`` (``n_b + 1`` of them) of the flat
+    ``times`` and ``src_vals`` arrays, and the engines store solutions
+    with the same offsets.  Returns ``(opts, steps_arr, offsets, times,
+    x, src_cols, src_vals)``.
     """
     job0 = jobs[0]
     mna0 = mnas[0]
     dt = job0.dt
-    t_start = job0.t_start
     opts = job0.options or TransientOptions()
     require(dt > 0.0, "dt must be positive")
 
     n_steps = []
     for job in jobs:
-        require(job.t_stop > t_start, "t_stop must exceed t_start")
-        n = int(round((job.t_stop - t_start) / dt))
+        require(job.t_stop > job.t_start, "t_stop must exceed t_start")
+        n = int(round((job.t_stop - job.t_start) / dt))
         require(n >= 1, "simulation window shorter than one step")
         n_steps.append(n)
     steps_arr = np.asarray(n_steps)
-    n_max = int(steps_arr.max())
-    times = t_start + dt * np.arange(n_max + 1)
+    offsets = np.zeros(len(jobs) + 1, dtype=np.int64)
+    np.cumsum(steps_arr + 1, out=offsets[1:])
 
     batch = len(jobs)
     if job0.use_ic:
@@ -973,34 +1004,46 @@ def _group_setup(jobs: Sequence[TransientJob], mnas: Sequence[MnaSystem]):
             mna0.seed_vector(job.initial_voltages, out=x[b])
     else:
         dc = dc_operating_point_batch(
-            [job.circuit for job in jobs], at_time=t_start,
+            [job.circuit for job in jobs],
+            at_time=[job.t_start for job in jobs],
             initial_voltages=[job.initial_voltages for job in jobs],
             mnas=mnas, backend=opts.backend)
         x = np.stack([r.solution for r in dc])
 
     src_cols = mna0.source_rhs_columns()
-    src_vals = np.empty((batch, n_max, src_cols.size))
-    for b, mna in enumerate(mnas):
-        src_vals[b] = mna.source_rhs_series_compact(times[1:], src_cols)[1]
-    return opts, steps_arr, times, x, src_cols, src_vals
+    times = np.empty(int(offsets[-1]))
+    src_vals = np.empty((times.size, src_cols.size))
+    for b, (job, mna) in enumerate(zip(jobs, mnas)):
+        rows = slice(offsets[b], offsets[b + 1])
+        times[rows] = job.t_start + dt * np.arange(n_steps[b] + 1)
+        src_vals[rows] = mna.source_rhs_series_compact(times[rows],
+                                                       src_cols)[1]
+    return opts, steps_arr, offsets, times, x, src_cols, src_vals
 
 
 def _simulate_group(jobs: Sequence[TransientJob],
                     mnas: Sequence[MnaSystem]) -> list[TransientResult]:
-    """Batched engine for topology-compatible jobs (shared t_start/dt/options)."""
+    """Batched engine for topology-compatible jobs (shared dt/options).
+
+    Fixed-grid variants may differ in ``t_start`` and ``t_stop``: each
+    advances on its own axis (see :func:`_group_setup`) in one stacked
+    loop, and a variant leaves the stack once its window is done.
+    Results are unpadded views into one packed buffer of ``Σ(n_b + 1)``
+    solution rows.
+    """
     job0 = jobs[0]
     mna0 = mnas[0]
     opts0 = job0.options or TransientOptions()
     if opts0.adaptive:
         return _simulate_adaptive(jobs, mnas)
     dt = job0.dt
-    opts, steps_arr, times, x, src_cols, src_vals = _group_setup(jobs, mnas)
-    n_steps = steps_arr.tolist()
-    n_max = int(steps_arr.max())
+    opts, steps_arr, offsets, times, x, src_cols, src_vals = \
+        _group_setup(jobs, mnas)
+    starts = offsets[:-1]
 
     batch = len(jobs)
-    solutions = np.empty((batch, n_max + 1, mna0.size))
-    solutions[:, 0] = x
+    solutions = np.empty((times.size, mna0.size))
+    solutions[starts] = x
     timers = _phase_timers()
     t_engine = perf_counter() if timers is not None else 0.0
     cache = _StepMatrixCache(mna0, dt, backend=opts.backend, timers=timers)
@@ -1008,14 +1051,6 @@ def _simulate_group(jobs: Sequence[TransientJob],
                        kernel=cache.kernel.name)
     if timers is not None:
         stats["phase_seconds"] = timers
-
-    # Halved substeps (rare) evaluate their intermediate source times on
-    # demand; full steps read the precomputed compact series.
-    def step_rhs(rows: np.ndarray | None, step: int) -> np.ndarray:
-        vals = src_vals[:, step] if rows is None else src_vals[rows, step]
-        rhs = np.zeros((vals.shape[0], mna0.size))
-        rhs[:, src_cols] = vals
-        return rhs
 
     # Trapezoidal history starts from DC (or UIC): i_cap = 0.  Linear
     # (MOSFET-free) groups thread it in node space — r₀ = S·x₀, stepped
@@ -1030,42 +1065,37 @@ def _simulate_group(jobs: Sequence[TransientJob],
     else:
         state = (2.0 * mna0.cap_c / h0) * cache.cap_gather(x)
 
-    def advance(sub_mnas, x_sub, state_sub, t, rhs):
+    # The stack holds the live variants only: ``alive`` maps its rows to
+    # group indices and ``rows`` to each one's current packed row.  A
+    # variant whose window is done is dropped (at most once per
+    # variant), so no step pays a gather/scatter of the stacked state.
+    alive = np.arange(batch)
+    rows = starts.copy()
+    for step in range(int(steps_arr.max())):
+        if steps_arr[alive].min() <= step:
+            keep = steps_arr[alive] > step
+            alive, rows = alive[keep], rows[keep]
+            x, state = x[keep], state[keep]
+        rhs = np.zeros((alive.size, mna0.size))
+        rhs[:, src_cols] = src_vals[rows + 1]
         if linear:
-            rhs += state_sub
+            rhs += state
             t0 = perf_counter() if timers is not None else 0.0
-            x_new = solver0.solve(rhs)
+            x = solver0.solve(rhs)
             if timers is not None:
                 _phase_add(timers, "solve", perf_counter() - t0)
-            return x_new, 2.0 * cache.cap_s_matvec(x_new) - state_sub
-        return _advance_batch(sub_mnas, cache, x_sub, state_sub, t, rhs,
-                              opts, stats)
-
-    if int(steps_arr.min()) == n_max:
-        # Uniform windows (the common case): every variant lives through
-        # every step, so the per-step alive-set gathers (four fancy-index
-        # copies each) are skipped entirely.
-        for step in range(n_max):
-            x, state = advance(mnas, x, state, float(times[step]),
-                               step_rhs(None, step))
-            solutions[:, step + 1] = x
-    else:
-        alive = np.arange(batch)
-        for step in range(n_max):
-            if alive.size and steps_arr[alive].min() <= step:
-                alive = alive[steps_arr[alive] > step]
-            sub_mnas = [mnas[b] for b in alive]
-            x_new, state_new = advance(sub_mnas, x[alive], state[alive],
-                                       float(times[step]), step_rhs(alive, step))
-            x[alive] = x_new
-            state[alive] = state_new
-            solutions[alive, step + 1] = x_new
+            state = 2.0 * cache.cap_s_matvec(x) - state
+        else:
+            x, state = _advance_batch(mnas, alive, cache, x, state,
+                                      times[rows], rhs, opts, stats)
+        rows += 1
+        solutions[rows] = x
 
     stats["matrix_builds"] = cache.builds
     _phase_close(timers, stats, t_engine)
     return [
-        TransientResult(mnas[b], times[: n_steps[b] + 1],
-                        solutions[b, : n_steps[b] + 1], stats=stats)
+        TransientResult(mnas[b], times[offsets[b]:offsets[b + 1]],
+                        solutions[offsets[b]:offsets[b + 1]], stats=stats)
         for b in range(batch)
     ]
 
@@ -1150,9 +1180,14 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
     # Shared preamble (validation, stacked initial states, compact source
     # series on the full base grid — the engine only ever lands on
     # base-grid points, so accepted strides index into that series).
-    opts, steps_arr, times, x, src_cols, src_vals = _group_setup(jobs, mnas)
+    # The group shares one origin, so the longest variant's axis is the
+    # whole group's base grid.
+    opts, steps_arr, offsets, times_all, x, src_cols, src_vals = \
+        _group_setup(jobs, mnas)
     n_steps = steps_arr.tolist()
     n_max = int(steps_arr.max())
+    longest = int(np.argmax(steps_arr))
+    times = times_all[offsets[longest]:offsets[longest + 1]]
 
     timers = _phase_timers()
     t_engine = perf_counter() if timers is not None else 0.0
@@ -1208,8 +1243,7 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
             geq = 2.0 * mna0.cap_c / h
             ieq = geq * cache.cap_gather(x_al) + ic_al
             rhs = np.zeros((alive.size, mna0.size))
-            rhs[:, src_cols] = src_vals[:, idx + m - 1] if full \
-                else src_vals[alive, idx + m - 1]
+            rhs[:, src_cols] = src_vals[offsets[alive] + idx + m]
             if mna0.n_caps:
                 rhs += cache.cap_scatter(ieq)
             fallback: list[tuple[int, np.ndarray]] = []
@@ -1244,8 +1278,9 @@ def _simulate_adaptive(jobs: Sequence[TransientJob],
                 if opts.max_halvings < 1 or (opts.min_step > 0.0
                                              and h / 2 < opts.min_step):
                     raise ConvergenceError(
-                        f"Newton failed at t={t_prev + h:.4e}s even at "
-                        f"dt={h:.2e}s")
+                        f"Newton failed for group variant "
+                        f"{int(alive[np.nonzero(~ok)[0][0]])} at "
+                        f"t={t_prev + h:.4e}s even at dt={h:.2e}s")
                 for pos in np.nonzero(~ok)[0]:
                     stats["halvings"] += 1
                     x_mid, i_mid = _advance_scalar(
@@ -1349,12 +1384,19 @@ def job_group_key(job: TransientJob, mna: MnaSystem) -> tuple:
     """Batch-compatibility key of a job: equal keys may share one stacked
     Newton loop.
 
+    Topology signature, step, ``use_ic`` and solver options.  Fixed-grid
+    jobs group regardless of ``t_start`` — each variant of a group
+    advances on its own axis ``t_start + k·dt`` — while adaptive jobs
+    keep ``t_start`` in the key: their stride ladder and source barriers
+    index one shared base grid.
+
     Shared by :func:`simulate_transient_many` (in-process grouping) and
     the shard scheduler of :mod:`repro.exec.pool` (process-level
     partitioning), so both layers agree on what "compatible" means.
     """
-    return (mna.topology_signature(), job.t_start, job.dt, job.use_ic,
-            job.options or TransientOptions())
+    opts = job.options or TransientOptions()
+    origin = job.t_start if opts.adaptive else None
+    return (mna.topology_signature(), origin, job.dt, job.use_ic, opts)
 
 
 def simulate_transient_many(
@@ -1363,12 +1405,14 @@ def simulate_transient_many(
 ) -> list[TransientResult]:
     """Simulate many independent jobs, batching compatible ones.
 
-    Jobs are grouped by circuit topology
-    (:meth:`~repro.circuit.mna.MnaSystem.topology_signature`), start time,
-    step and solver options.  Each group of two or more runs through the
-    stacked batched engine; singleton groups use the scalar path.  Results
-    come back in input order and are numerically equivalent to calling
-    :func:`simulate_transient` per job.
+    Jobs are grouped by :func:`job_group_key`: circuit topology
+    (:meth:`~repro.circuit.mna.MnaSystem.topology_signature`), step and
+    solver options — plus the start time for adaptive jobs only, so one
+    fixed-grid group may mix time origins and window lengths.  Each group
+    of two or more runs through the stacked batched engine; singleton
+    groups use the scalar path.  Results come back in input order and
+    are numerically equivalent to calling :func:`simulate_transient` per
+    job (fixed-grid time axes bit-identical).
 
     ``mnas`` optionally supplies the jobs' pre-compiled systems (one per
     job, in order) so callers that already compiled them for their own

@@ -24,10 +24,18 @@ Determinism and fallback
 Shard assignment is a pure function of the job list and worker count,
 and results are merged back in submission order, so a sharded run
 returns the same list (within the batched-vs-scalar engine tolerance,
-<1e-9 V) as the serial path.  Adaptive (LTE-controlled) job groups are
-never split across shards — their lockstep step sequence depends on the
-group membership — so for them sharded and serial runs agree bit for
-bit.  ``workers=1``, tiny job lists, pool creation failure, and
+<1e-9 V) as the serial path.  Fixed-grid groups span time origins
+(:func:`~repro.circuit.transient.job_group_key`), so a split chunk may
+mix them.  On the dense Newton path a job gets the same bits in any
+batched group (:class:`~repro.circuit.mna.RowScatter`), so there a
+sharded run matches the serial one bit for bit wherever the split
+leaves each chunk two or more jobs.  A one-job chunk runs the scalar
+engine, and a MOSFET-free group on the dense LU path solves its stacked
+right-hand sides in one LAPACK call whose rounding depends on their
+number — both stay within the tolerance.  Adaptive (LTE-controlled)
+job groups are never split across shards — their lockstep step sequence
+depends on the group membership — so for them sharded and serial runs
+agree bit for bit.  ``workers=1``, tiny job lists, pool creation failure, and
 *per-shard worker crashes* all fall back to the deterministic
 in-process path — a crash costs time, never results.
 
@@ -190,18 +198,20 @@ def make_shards(indices: Sequence[int], jobs: Sequence[TransientJob],
     """Partition job ``indices`` into at most ``n_workers`` shards.
 
     Groups of batch-compatible jobs (equal
-    :func:`~repro.circuit.transient.job_group_key`) are kept contiguous
-    so each worker still batches internally; a group whose estimated
-    cost (:func:`job_cost` — heterogeneous Table-1 + interconnect mixes
-    are *not* uniform per job, so raw job counts skew wall-clock)
-    exceeds the per-worker cost target is split into chunks — except
-    *adaptive* groups (``TransientOptions.adaptive``), which always stay
-    whole: the LTE-controlled engine advances a group in lockstep on the
-    minimum accepted stride, so a job's accepted grid depends on its
-    group membership, and splitting would make the sharded run diverge
-    from the serial one.  Chunks go to the least-loaded shard by
-    accumulated cost (ties to the lowest shard index), which is
-    deterministic for a given job list and worker count.
+    :func:`~repro.circuit.transient.job_group_key` — topology, step and
+    options; fixed-grid groups span time origins, adaptive ones do not)
+    are kept contiguous so each worker still batches internally; a group
+    whose estimated cost (:func:`job_cost` — heterogeneous Table-1 +
+    interconnect mixes are *not* uniform per job, so raw job counts skew
+    wall-clock) exceeds the per-worker cost target is split into chunks
+    — except *adaptive* groups (``TransientOptions.adaptive``), which
+    always stay whole: the LTE-controlled engine advances a group in
+    lockstep on the minimum accepted stride, so a job's accepted grid
+    depends on its group membership, and splitting would make the
+    sharded run diverge from the serial one.  Chunks go to the
+    least-loaded shard by accumulated cost (ties to the lowest shard
+    index), which is deterministic for a given job list and worker
+    count.
     """
     groups: dict[tuple, list[int]] = {}
     for k in indices:

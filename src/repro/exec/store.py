@@ -85,7 +85,11 @@ __all__ = ["STORE_VERSION", "KEYED_FIELDS", "NO_KEY", "UnkeyableJobError",
 #:     refactorizations whose waveforms differ from the dense path at
 #:     the ~1e-12 V level, and the store gained DC operating-point
 #:     entries (:func:`dc_key`) alongside the transient ones.
-STORE_VERSION = 3
+#: 4 — fixed-grid groups span time origins and fold device/capacitor
+#:     stamps in a stack-width-independent order: jobs that used to run
+#:     alone now run batched, and batched waveforms move at the
+#:     ~1e-15 V level.
+STORE_VERSION = 4
 
 #: Default size budget of a store (bytes) unless overridden; the value
 #: lives in :mod:`repro._knobs` next to the ``REPRO_STORE_MAX_BYTES``

@@ -10,7 +10,7 @@ from repro.circuit.mna import MnaSystem
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import RampSource
 from repro.circuit.transient import (TransientJob, TransientOptions,
-                                     simulate_transient_many)
+                                     job_group_key, simulate_transient_many)
 from repro.core.waveform import Waveform
 from repro.exec import ExecutionConfig, run_jobs
 from repro.exec import pool as pool_mod
@@ -35,12 +35,14 @@ def rc_job(r_ohm: float, start: float, n_stages: int = 3,
 
 
 def inverter_job(slew: float, t_stop: float = 0.6e-9,
-                 adaptive: bool = False) -> TransientJob:
-    """A MOSFET (nonlinear) job: an inverter fixture driven by a ramp."""
+                 adaptive: bool = False, t_start: float = 0.0) -> TransientJob:
+    """A MOSFET (nonlinear) job: an inverter fixture driven by a ramp
+    that starts 50 ps into the window."""
     fixture = GateFixture(cell=standard_cell(1), extra_load=10e-15, dt=2e-12,
                           adaptive=adaptive)
-    wave = Waveform.ramp(t_start=50e-12, slew=slew, vdd=fixture.cell.vdd)
-    return fixture.transient_job(wave, t_window=(0.0, t_stop))
+    wave = Waveform.ramp(t_start=t_start + 50e-12, slew=slew,
+                         vdd=fixture.cell.vdd)
+    return fixture.transient_job(wave, t_window=(t_start, t_stop))
 
 
 def job_mix() -> list[TransientJob]:
@@ -95,6 +97,29 @@ class TestShardedEquivalence:
         results = run_jobs(jobs, ExecutionConfig(workers=1), diag=diag)
         assert diag["mode"] == "serial" and diag["shards"] == 0
         assert_equivalent(simulate_transient_many(jobs), results)
+
+    def test_mixed_origins_bit_identical(self):
+        # Fixed-grid jobs on negative, zero and positive origins form one
+        # group, which sharding splits across the workers.  On the dense
+        # Newton path a job gets the same bits in any group of two or
+        # more, so the sharded run reproduces the serial one bit for bit
+        # (a one-job chunk would take the scalar engine instead).
+        origins = [-0.3e-9, 0.0, 0.1e-9, -0.1e-9, 0.2e-9, 0.0]
+        jobs = [inverter_job(60e-12 + 20e-12 * k, t_start=t0,
+                             t_stop=t0 + 0.4e-9 + 0.1e-9 * k)
+                for k, t0 in enumerate(origins)]
+        serial = simulate_transient_many(jobs)
+        assert serial[0].stats["batch_size"] == len(jobs)
+        shards = make_shards(list(range(len(jobs))), jobs,
+                             [MnaSystem(j.circuit) for j in jobs], 2)
+        assert len(shards) == 2 and min(len(s) for s in shards) >= 2
+        diag = {}
+        sharded = run_jobs(jobs, ExecutionConfig(workers=2), diag=diag)
+        assert diag["mode"] == "sharded" and diag["fallback_shards"] == 0
+        for job, s, b in zip(jobs, serial, sharded):
+            assert s.times[0] == job.t_start
+            np.testing.assert_array_equal(s.times, b.times)
+            np.testing.assert_array_equal(s._x, b._x)
 
     def test_varied_windows_truncate_per_job(self):
         jobs = [rc_job(1e3, 20e-12, t_stop=0.4e-9 + 0.2e-9 * k)
@@ -171,6 +196,30 @@ class TestAdaptiveSharding:
         fixed_shards = make_shards(list(range(8)), fixed,
                                    [MnaSystem(j.circuit) for j in fixed], 2)
         assert sorted(len(s) for s in fixed_shards) == [4, 4]
+
+    def test_adaptive_origins_stay_apart(self):
+        # Fixed-grid jobs group across time origins; adaptive jobs do
+        # not (their stride ladder and barriers index one shared grid).
+        def jobs(options):
+            out = []
+            for t0 in (0.0, 0.0, 0.2e-9):
+                job = rc_job(1e3, t0 + 50e-12, t_stop=2e-9, options=options)
+                out.append(TransientJob(job.circuit, t_stop=job.t_stop,
+                                        dt=job.dt, t_start=t0,
+                                        options=options))
+            return out
+        adaptive = jobs(ADAPTIVE)
+        mnas = [MnaSystem(j.circuit) for j in adaptive]
+        keys = [job_group_key(j, m) for j, m in zip(adaptive, mnas)]
+        assert keys[0] == keys[1] != keys[2]
+        shards = make_shards([0, 1, 2], adaptive, mnas, 2)
+        assert sorted(map(sorted, shards)) == [[0, 1], [2]]
+        assert [r.stats["batch_size"]
+                for r in simulate_transient_many(adaptive)] == [2, 2, 1]
+        fixed = jobs(None)
+        assert len({job_group_key(j, m) for j, m in zip(fixed, mnas)}) == 1
+        assert [r.stats["batch_size"]
+                for r in simulate_transient_many(fixed)] == [3, 3, 3]
 
     def test_adaptive_worker_crash_falls_back_to_serial(self, monkeypatch):
         jobs = adaptive_job_mix()

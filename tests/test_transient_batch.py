@@ -10,6 +10,7 @@ recursive step-halving path (which previously had no coverage at all).
 import numpy as np
 import pytest
 
+from repro.circuit.mna import RowScatter
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import Dc, RampSource
 from repro.circuit.transient import (
@@ -21,9 +22,11 @@ from repro.circuit.transient import (
     simulate_transient_batch,
     simulate_transient_many,
 )
+from repro.core.propagation import GateFixture
+from repro.core.waveform import Waveform
 from repro.experiments.noise_injection import SweepTiming
 from repro.experiments.setup import CONFIG_I, build_testbench
-from repro.library.cells import make_inverter
+from repro.library.cells import make_inverter, standard_cell
 
 VOLTAGE_TOL = 1e-9
 
@@ -144,6 +147,14 @@ def _sharp_inverter():
 INITIAL = {"in": 0.0, "out": 1.2, "vdd": 1.2}
 
 
+def _inverter_at(ramp_start: float, slew: float = 20e-12) -> Circuit:
+    """:func:`_sharp_inverter` with its input edge moved to ``ramp_start``."""
+    c = _sharp_inverter()
+    c.vsources[1] = type(c.vsources[1])(
+        "Vin", "in", "0", RampSource(ramp_start, slew, 0.0, 1.2))
+    return c
+
+
 class TestStepHalving:
     """The recursive step-halving fallback (previously untested)."""
 
@@ -175,6 +186,19 @@ class TestStepHalving:
             simulate_transient(_sharp_inverter(), t_stop=1e-9, dt=20e-12,
                                initial_voltages=INITIAL, options=opts)
 
+    def test_min_step_floor_applies_to_batched_groups(self):
+        # The step that needs halving may not go below min_step: the
+        # batched engine refuses the first halving just like the scalar
+        # one instead of integrating one level finer.
+        opts = TransientOptions(max_newton=4, min_step=20e-12)
+        jobs = [TransientJob(_inverter_at(start), t_stop=1e-9, dt=20e-12,
+                             initial_voltages=INITIAL, options=opts)
+                for start in (0.2e-9, 0.3e-9)]
+        with pytest.raises(ConvergenceError):
+            jobs[0].run()
+        with pytest.raises(ConvergenceError, match="group variant 0"):
+            simulate_transient_many(jobs)
+
     def test_batched_halving_matches_sequential(self):
         # Two variants: a sharp edge (needs halving) and a gentle one.
         opts = TransientOptions(max_newton=4)
@@ -196,6 +220,137 @@ class TestStepHalving:
         seq.append(simulate_transient(gentle, t_stop=1e-9, dt=20e-12,
                                       initial_voltages=INITIAL, options=opts))
         _assert_equivalent(seq, bat)
+
+
+class TestMixedOrigins:
+    """Fixed-grid groups are cut by topology, not by time origin: jobs
+    with different ``t_start`` and ``t_stop`` share one stacked loop,
+    each on its own axis, and every result matches its per-job run."""
+
+    # (t_start, t_stop): negative, zero and positive origins, windows
+    # of different lengths (the positive-origin one is the longest).
+    WINDOWS = [(-0.4e-9, 0.3e-9), (0.0, 0.5e-9), (0.0, 0.9e-9),
+               (0.15e-9, 1.2e-9)]
+
+    def _inverter_jobs(self):
+        return [TransientJob(_inverter_at(t0 + 0.1e-9, 40e-12 * (k + 1)),
+                             t_stop=t1, dt=10e-12, t_start=t0,
+                             initial_voltages=INITIAL)
+                for k, (t0, t1) in enumerate(self.WINDOWS)]
+
+    def _rc_jobs(self):
+        jobs = []
+        for k, (t0, t1) in enumerate(self.WINDOWS):
+            c = Circuit("rc")
+            c.vsource("Vin", "in", "0",
+                      RampSource(t0 + 0.05e-9 * (k + 1), 100e-12, 0.0, 1.0))
+            c.resistor("R", "in", "out", 1e3)
+            c.capacitor("C", "out", "0", 100e-15)
+            jobs.append(TransientJob(c, t_stop=t1, dt=10e-12, t_start=t0))
+        return jobs
+
+    @pytest.mark.parametrize("make", ["_inverter_jobs", "_rc_jobs"])
+    def test_one_group_matches_per_job_runs(self, make):
+        jobs = getattr(self, make)()
+        bat = simulate_transient_many(jobs)
+        assert all(r.stats["batch_size"] == len(jobs) for r in bat)
+        seq = [job.run() for job in jobs]
+        for job, s, b in zip(jobs, seq, bat):
+            # Each variant lives on exactly the scalar grid of its job.
+            np.testing.assert_array_equal(b.times, s.times)
+            assert b.times[0] == job.t_start
+            assert _worst_dv(s, b) < VOLTAGE_TOL
+
+    def test_halving_variant_off_zero_origin(self):
+        # The sharp edge (halving at max_newton=4) sits on a positive
+        # origin, the other variant on a negative one: the fallback must
+        # evaluate the edge's sources at its own substep times.
+        opts = TransientOptions(max_newton=4)
+        jobs = [
+            TransientJob(_inverter_at(-0.3e-9, 200e-12), t_stop=0.5e-9,
+                         dt=20e-12, t_start=-0.5e-9, initial_voltages=INITIAL,
+                         options=opts),
+            TransientJob(_inverter_at(0.3e-9), t_stop=0.9e-9, dt=20e-12,
+                         t_start=0.1e-9, initial_voltages=INITIAL,
+                         options=opts),
+        ]
+        seq = [job.run() for job in jobs]
+        assert seq[1].stats["halvings"] > 0
+        bat = simulate_transient_many(jobs)
+        assert bat[0].stats["batch_size"] == 2
+        # The group's stats are shared: the same substeps halved.
+        assert bat[1].stats["halvings"] == sum(r.stats["halvings"] for r in seq)
+        _assert_equivalent(seq, bat)
+
+    def test_results_are_packed_views(self):
+        bat = simulate_transient_many(self._inverter_jobs())
+        buf = bat[0]._x.base
+        assert buf is not None
+        assert all(r._x.base is buf for r in bat)
+        # One row per grid point of every variant, and nothing else.
+        assert buf.shape == (sum(len(r.times) for r in bat), bat[0]._x.shape[1])
+        rows = [(r._x.__array_interface__["data"][0]
+                 - buf.__array_interface__["data"][0]) // buf.strides[0]
+                for r in bat]
+        assert rows == np.cumsum([0] + [len(r.times) for r in bat[:-1]]).tolist()
+
+    def test_variant_bits_independent_of_group_mates(self):
+        # The dense Newton path gives a job the same bits in any group of
+        # two or more — also once it is the last variant left running.
+        # (The cell's output node is shared by five capacitors.)
+        fixture = GateFixture(cell=standard_cell(1), extra_load=10e-15,
+                              dt=2e-12)
+        jobs = [fixture.transient_job(
+                    Waveform.ramp(t_start=t0 + 50e-12, slew=60e-12 * (k + 1),
+                                  vdd=fixture.cell.vdd),
+                    t_window=(t0, t1))
+                for k, (t0, t1) in enumerate(self.WINDOWS)]
+        together = simulate_transient_many(jobs)
+        for pair in ([0, 1], [2, 3], [0, 3], [1, 2]):
+            apart = simulate_transient_many([jobs[k] for k in pair])
+            for k, res in zip(pair, apart):
+                np.testing.assert_array_equal(res._x, together[k]._x)
+
+    def test_convergence_error_names_variant_and_its_time(self):
+        opts = TransientOptions(max_newton=2, max_halvings=0)
+
+        def quiet(t_stop):
+            return TransientJob(_inverter_at(5e-9), t_stop=t_stop, dt=20e-12,
+                                initial_voltages=INITIAL, options=opts)
+        sharp = TransientJob(_inverter_at(-0.3e-9), t_stop=0.5e-9, dt=20e-12,
+                             t_start=-0.5e-9, initial_voltages=INITIAL,
+                             options=opts)
+        with pytest.raises(ConvergenceError) as scalar:
+            sharp.run()
+        t_fail = scalar.value.args[0].split("t=")[1].split("s ")[0]
+        assert float(t_fail) < 0.0
+        # The first quiet job has left the stack before the failure, so
+        # the failing row's stack position (1) is not its group index (2).
+        with pytest.raises(ConvergenceError,
+                           match=rf"group variant 2 at t={t_fail}s"):
+            simulate_transient_many([quiet(40e-12), quiet(1e-9), sharp])
+
+
+class TestRowScatter:
+    """The stacked scatter behind device and capacitor stamping: a row's
+    result must not depend on how many rows are stacked."""
+
+    @pytest.mark.parametrize("fan_in", [1, 2, 3, 5])
+    def test_rows_independent_of_stack_width(self, fan_in):
+        # Signed incidence: every column fed by ``fan_in`` sources.
+        cols = 6
+        m = np.zeros((fan_in * cols, cols))
+        for j in range(cols):
+            for r in range(fan_in):
+                m[j * fan_in + r, j] = 1.0 if r % 2 == 0 else -1.0
+        scatter = RowScatter(m)
+        v = np.random.default_rng(fan_in).standard_normal((40, m.shape[0]))
+        stacked = scatter(v)
+        np.testing.assert_allclose(stacked, v @ m, rtol=0, atol=1e-12)
+        for width in (1, 2, 3, 17):
+            np.testing.assert_array_equal(scatter(v[:width]), stacked[:width])
+            np.testing.assert_array_equal(scatter(v[-width:]),
+                                          stacked[-width:])
 
 
 class TestManyMisc:
