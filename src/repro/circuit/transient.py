@@ -160,6 +160,7 @@ from __future__ import annotations
 
 import copy
 import math
+import mmap
 from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -960,6 +961,21 @@ def _advance_batch(
     return x_new, ieq_new
 
 
+def _mapped_empty(shape) -> np.ndarray:
+    """``np.empty(shape)`` in a private anonymous memory mapping.
+
+    For the packed per-group buffers.  They run to tens of megabytes and
+    change size from group to group; taken from the malloc heap, a freed
+    buffer's hole is split by later small allocations, and the next
+    group's buffer then grows the heap instead — repeated sweeps gained
+    a whole buffer of peak RSS at random.  A mapping goes back to the
+    OS as soon as its last view dies.
+    """
+    n = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), dtype=np.float64,
+                         count=n).reshape(shape)
+
+
 def _group_setup(jobs: Sequence[TransientJob], mnas: Sequence[MnaSystem]):
     """Shared preamble of the fixed-grid and adaptive group engines.
 
@@ -977,8 +993,8 @@ def _group_setup(jobs: Sequence[TransientJob], mnas: Sequence[MnaSystem]):
     Windows in one group may differ severalfold, so the per-variant
     series are *packed*, not padded: variant ``b`` owns rows
     ``offsets[b]:offsets[b + 1]`` (``n_b + 1`` of them) of the flat
-    ``times`` and ``src_vals`` arrays, and the engines store solutions
-    with the same offsets.  Returns ``(opts, steps_arr, offsets, times,
+    ``times`` and ``src_vals`` arrays (see :func:`_mapped_empty`), and
+    the engines store solutions with the same offsets.  Returns ``(opts, steps_arr, offsets, times,
     x, src_cols, src_vals)``.
     """
     job0 = jobs[0]
@@ -1011,8 +1027,8 @@ def _group_setup(jobs: Sequence[TransientJob], mnas: Sequence[MnaSystem]):
         x = np.stack([r.solution for r in dc])
 
     src_cols = mna0.source_rhs_columns()
-    times = np.empty(int(offsets[-1]))
-    src_vals = np.empty((times.size, src_cols.size))
+    times = _mapped_empty(int(offsets[-1]))
+    src_vals = _mapped_empty((times.size, src_cols.size))
     for b, (job, mna) in enumerate(zip(jobs, mnas)):
         rows = slice(offsets[b], offsets[b + 1])
         times[rows] = job.t_start + dt * np.arange(n_steps[b] + 1)
@@ -1042,7 +1058,7 @@ def _simulate_group(jobs: Sequence[TransientJob],
     starts = offsets[:-1]
 
     batch = len(jobs)
-    solutions = np.empty((times.size, mna0.size))
+    solutions = _mapped_empty((times.size, mna0.size))
     solutions[starts] = x
     timers = _phase_timers()
     t_engine = perf_counter() if timers is not None else 0.0

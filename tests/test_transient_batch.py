@@ -187,17 +187,21 @@ class TestStepHalving:
                                initial_voltages=INITIAL, options=opts)
 
     def test_min_step_floor_applies_to_batched_groups(self):
-        # The step that needs halving may not go below min_step: the
-        # batched engine refuses the first halving just like the scalar
-        # one instead of integrating one level finer.
-        opts = TransientOptions(max_newton=4, min_step=20e-12)
-        jobs = [TransientJob(_inverter_at(start), t_stop=1e-9, dt=20e-12,
-                             initial_voltages=INITIAL, options=opts)
-                for start in (0.2e-9, 0.3e-9)]
+        # These edges converge after one halving; a min_step of one
+        # base step forbids that halving in the batched engine as in the
+        # scalar one.
+        def jobs(opts):
+            return [TransientJob(_inverter_at(start, 80e-12), t_stop=1e-9,
+                                 dt=20e-12, initial_voltages=INITIAL,
+                                 options=opts)
+                    for start in (0.2e-9, 0.3e-9)]
+        assert simulate_transient_many(
+            jobs(TransientOptions(max_newton=4)))[0].stats["halvings"] > 0
+        floored = jobs(TransientOptions(max_newton=4, min_step=20e-12))
         with pytest.raises(ConvergenceError):
-            jobs[0].run()
+            floored[0].run()
         with pytest.raises(ConvergenceError, match="group variant 0"):
-            simulate_transient_many(jobs)
+            simulate_transient_many(floored)
 
     def test_batched_halving_matches_sequential(self):
         # Two variants: a sharp edge (needs halving) and a gentle one.
@@ -288,11 +292,14 @@ class TestMixedOrigins:
         assert buf is not None
         assert all(r._x.base is buf for r in bat)
         # One row per grid point of every variant, and nothing else.
-        assert buf.shape == (sum(len(r.times) for r in bat), bat[0]._x.shape[1])
-        rows = [(r._x.__array_interface__["data"][0]
-                 - buf.__array_interface__["data"][0]) // buf.strides[0]
-                for r in bat]
-        assert rows == np.cumsum([0] + [len(r.times) for r in bat[:-1]]).tolist()
+        width = bat[0]._x.shape[1]
+        lengths = [len(r.times) for r in bat]
+        assert buf.size == sum(lengths) * width
+
+        def address(a):
+            return a.__array_interface__["data"][0]
+        rows = [(address(r._x) - address(buf)) // (8 * width) for r in bat]
+        assert rows == np.cumsum([0] + lengths[:-1]).tolist()
 
     def test_variant_bits_independent_of_group_mates(self):
         # The dense Newton path gives a job the same bits in any group of
