@@ -304,9 +304,10 @@ class TestMixedOrigins:
     def test_variant_bits_independent_of_group_mates(self):
         # The dense Newton path gives a job the same bits in any group of
         # two or more — also once it is the last variant left running.
-        # (The cell's output node is shared by five capacitors.)
+        # (The cell's output node is shared by five capacitors.)  The
+        # mode is pinned: adaptive groups stay cut by time origin.
         fixture = GateFixture(cell=standard_cell(1), extra_load=10e-15,
-                              dt=2e-12)
+                              dt=2e-12, adaptive=False)
         jobs = [fixture.transient_job(
                     Waveform.ramp(t_start=t0 + 50e-12, slew=60e-12 * (k + 1),
                                   vdd=fixture.cell.vdd),
