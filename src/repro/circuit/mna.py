@@ -142,12 +142,6 @@ class NewtonPartition:
     core_structure: MatrixStructure = field(repr=False)
 
 
-#: Above this many cells a :class:`RowScatter` always takes the CSR
-#: product: the dense matmul costs O(cells · B) per call and dominates
-#: large RC bundles.
-_SPARSE_SCATTER_CELLS = 32768
-
-
 class RowScatter:
     """Stacked scatter ``v @ m`` for a 0/±1 matrix ``m`` (one-hot fold or
     signed incidence) whose rows do not depend on how many are stacked.
@@ -157,31 +151,24 @@ class RowScatter:
     gives every job the same bits in any group (see
     :func:`~repro.circuit.transient.simulate_transient_many`).  A BLAS
     product may sum a destination's terms in any order, and the order
-    differs between one stacked row (gemv) and several (gemm).  A
-    destination fed by at most two sources is exact under every order
-    (the ±1 products and the zero terms are exact, and a two-term sum
-    commutes), so small scatters with that fan-in stay one dense matmul.
-    Wider fan-in, and scatters past :data:`_SPARSE_SCATTER_CELLS`, take
-    a CSR product, which accumulates every destination in one fixed
-    order for any number of rows.  The choice is made on first use: most
-    compiled systems (every group member but the first, every scalar
-    run) never scatter a stack.
+    differs between one stacked row (gemv) and several (gemm); a CSR
+    product accumulates every destination in one fixed order for any
+    number of rows.  Without SciPy the scatter is a dense matmul and
+    the promise holds only to rounding.  The CSR matrix is built on
+    first use: most compiled systems (every group member but the first,
+    every scalar run) never scatter a stack.
     """
 
     def __init__(self, m: np.ndarray):
         self._m = m
-        self._csr_t: "object | None | bool" = False  # False = unbuilt
+        self._csr_t = None
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """``(B, rows) → (B, cols)``."""
-        if self._csr_t is False:
-            m = self._m
-            fan_in = np.count_nonzero(m, axis=0)
-            wide = fan_in.size > 0 and int(fan_in.max()) > 2
-            self._csr_t = sparse_csr(m.T) \
-                if wide or m.size >= _SPARSE_SCATTER_CELLS else None
         if self._csr_t is None:
-            return v @ self._m
+            self._csr_t = sparse_csr(self._m.T)
+            if self._csr_t is None:
+                return v @ self._m
         return (self._csr_t @ v.T).T
 
 

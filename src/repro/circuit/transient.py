@@ -969,14 +969,10 @@ def _mapped_empty(shape) -> np.ndarray:
     buffer's hole is split by later small allocations, and the next
     group's buffer then grows the heap instead — repeated sweeps gained
     a whole buffer of peak RSS at random.  A mapping goes back to the
-    OS as soon as its last view dies.  Like NumPy's own large
-    allocations, it asks for transparent huge pages where the platform
-    has them (fewer page faults when a large buffer is first written).
+    OS as soon as its last view dies.
     """
     n = int(np.prod(shape))
     buf = mmap.mmap(-1, max(8 * n, 1), flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, dtype=np.float64, count=n).reshape(shape)
 
 
