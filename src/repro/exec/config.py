@@ -98,10 +98,12 @@ class ExecutionConfig:
         memoisation.
     min_pool_jobs:
         Smallest pending-job count worth forking a pool for.  Tiny
-        submissions (a propagate_path stage's 2 jobs, a single Figure 2
+        submissions (a single path's propagate_path stage: one or two
+        stage solves, then one re-time; a single Figure 2
         re-simulation) solve in milliseconds — pool creation plus
         pickling would dwarf them — so they run inline even when
-        ``workers > 1``.
+        ``workers > 1``.  A Monte-Carlo front's stage call (one solve
+        per distinct sample) is wide enough to shard.
     kernel:
         Array-kernel backend name for the hot loops (``auto``/
         ``numpy``/``numba``).  Installed process-wide when this config

@@ -7,8 +7,9 @@ Two sweeps over a characterised inverter-chain design:
   :func:`repro.exec.run_indexed`; arrival/slack quantiles at the chain
   output.  Deterministic across worker counts by construction.
 * :func:`run_noise_alignment_monte_carlo` — the noise-aware variant:
-  aggressor alignments jitter per sample and the coupled path re-times
-  through :func:`~repro.sta.noise_aware.propagate_path` with a pinned
+  aggressor alignments jitter per sample and the coupled paths re-time
+  stage-major, a front of samples at a time, through
+  :func:`~repro.sta.noise_aware.propagate_paths` with a pinned
   simulation window, so the quiet reference (and any configured result
   store) is shared across the whole sweep.
 

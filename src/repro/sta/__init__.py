@@ -24,6 +24,7 @@ from .noise_aware import (
     StageTiming,
     clear_quiet_cache,
     propagate_path,
+    propagate_paths,
     quiet_cache_stats,
 )
 
@@ -55,6 +56,7 @@ __all__ = [
     "NoisyStage",
     "StageTiming",
     "propagate_path",
+    "propagate_paths",
     "QuietReferenceCache",
     "clear_quiet_cache",
     "quiet_cache_stats",

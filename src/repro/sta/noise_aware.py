@@ -3,7 +3,8 @@ waveforms throughout the circuit" (the paper's stated goal).
 
 A :class:`NoisyStage` is one victim segment: a driver cell, a coupled RC
 line with aggressors, and the receiving cell.  :func:`propagate_path`
-walks a chain of such stages.  At each coupled stage it
+walks a chain of such stages (:func:`propagate_paths` walks K chains in
+lockstep).  At each coupled stage it
 
 1. simulates the stage circuit driven by the *equivalent ramp* carried in
    from the previous stage (the STA abstraction — only arrival/slew/shape
@@ -19,13 +20,19 @@ technique can be measured — the multi-stage generalisation of Table 1.
 
 Simulation strategy
 -------------------
-The noisy stage and its quiet-aggressor (noiseless) reference are
-submitted together through the execution layer
-(:func:`repro.exec.run_jobs`, honouring the shared
-:class:`~repro.exec.ExecutionConfig`); stages without aggressors share a
-topology with their reference and advance through one stacked Newton
-loop, and a configured result store memoises every stage simulation
-across runs.
+Propagation is stage-major: :func:`propagate_paths` advances a front of
+K equal-length paths one stage at a time, and
+:func:`propagate_path` is the front of one.  Per stage it makes two
+execution-layer calls (:func:`repro.exec.run_jobs`, honouring the shared
+:class:`~repro.exec.ExecutionConfig`): one for every stage simulation
+plus the missing quiet-aggressor (noiseless) references, one for every
+re-time simulation.  Same-topology jobs of different paths — the
+jittered alignments of a Monte-Carlo sweep — therefore advance through
+one stacked Newton group.  Work is deduplicated by content: paths with
+an equal ``(stage, stimulus)`` pair share one solve and one
+:class:`StageTiming`, an aggressor-free stage is its own quiet reference
+(one job, not two), and equal re-time waveforms are solved once.  A
+configured result store memoises every stage simulation across runs.
 
 The quiet reference depends only on the stage configuration and the
 incoming stimulus — not on the aggressor alignment — so it is memoised in
@@ -49,9 +56,10 @@ instead.  Every substitution is recorded on the returned
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .._util import require
 from ..circuit.netlist import Circuit
@@ -72,6 +80,7 @@ __all__ = [
     "NoisyStage",
     "StageTiming",
     "propagate_path",
+    "propagate_paths",
     "QuietReferenceCache",
     "clear_quiet_cache",
     "quiet_cache_stats",
@@ -179,6 +188,17 @@ class QuietReferenceCache:
             return None
         self.hits += 1
         return pair
+
+    def hit_in_front(self) -> None:
+        """Count a lookup answered within the current front.
+
+        :func:`propagate_paths` looks a quiet key up once per path; when
+        an earlier path of the same front already looked the key up (and
+        found it, or scheduled its simulation), that answer is reused and
+        counted as a hit — so the counters read as if every path had
+        been propagated on its own.
+        """
+        self.hits += 1
 
     def store(self, key: tuple, pair: tuple[Waveform, Waveform]) -> None:
         """Insert a simulated pair, evicting the oldest entry when full."""
@@ -302,6 +322,95 @@ def _slew_or_fallback(slew: float, fallback: float | None,
     return fallback, True
 
 
+def _stage_stimulus(stage: NoisyStage, stimulus: "Waveform | SaturatedRamp",
+                    settle_margin: float,
+                    window_end: float | None) -> tuple[Waveform, float]:
+    """The stage's input waveform and its simulation-window end ``t1``.
+
+    The waveform is held at its final value up to ``t1``.
+    """
+    if isinstance(stimulus, SaturatedRamp):
+        t0 = stimulus.t_begin - 100e-12
+        t1 = stimulus.t_finish + settle_margin
+        wave_in = stimulus.to_waveform(t0, t1)
+    else:
+        wave_in = stimulus
+        t1 = wave_in.t_end
+    # The aggressor windows may extend past the victim stimulus.
+    for agg in stage.aggressors:
+        t1 = max(t1, agg.transition_start + agg.slew / 0.8 + settle_margin)
+    if window_end is not None:
+        t1 = max(t1, window_end)
+    if wave_in.t_end < t1:
+        wave_in = Waveform(list(wave_in.times) + [t1],
+                           list(wave_in.values) + [wave_in.v_final])
+    return wave_in, t1
+
+
+def _stage_job(stage: NoisyStage, wave_in: Waveform, t1: float, dt: float,
+               options: TransientOptions) -> TransientJob:
+    """Simulation of ``stage`` driven by ``wave_in`` up to ``t1``."""
+    vdd = stage.driver.vdd
+    circuit, _, _, _ = _build_stage_circuit(stage, vdd)
+    circuit.vsource("Vin", "in", "0", wave_in)
+    return TransientJob(circuit, t_stop=t1, dt=dt, t_start=wave_in.t_start,
+                        initial_voltages=_stage_initial(stage, vdd,
+                                                        wave_in.v_initial),
+                        options=options)
+
+
+def _retime_job(receiver: InverterCell, receiver_load: float, vdd: float,
+                gamma_wave: Waveform, dt: float,
+                options: TransientOptions) -> TransientJob:
+    """The receiver alone, driven by an equivalent input waveform."""
+    circuit = Circuit("retime")
+    circuit.vsource("Vdd", "vdd", "0", vdd)
+    receiver.instantiate(circuit, "recv", "far", "out", "vdd")
+    circuit.capacitor("cl", "out", "0", receiver_load)
+    circuit.vsource("Vfar", "far", "0", gamma_wave)
+    initial = {"far": gamma_wave.v_initial, "vdd": vdd,
+               "out": vdd - gamma_wave.v_initial}
+    return TransientJob(circuit, t_stop=gamma_wave.t_end, dt=dt,
+                        t_start=gamma_wave.t_start, initial_voltages=initial,
+                        options=options)
+
+
+def _output_ramp(v_out: Waveform, vdd: float, slew_fallback: float | None,
+                 context: str) -> tuple[SaturatedRamp, float, float, bool]:
+    """``(ramp, arrival, measured slew, substituted?)`` of an output.
+
+    The ramp summarises the transition as (arrival, slew), with the
+    fallback policy applied when the measured slew is NaN.
+    """
+    arrival = v_out.arrival_time(vdd, which="last")
+    try:
+        slew = v_out.slew(vdd)
+    except ValueError:
+        slew = float("nan")
+    ramp_slew, substituted = _slew_or_fallback(slew, slew_fallback, context)
+    ramp = SaturatedRamp.from_arrival_slew(
+        arrival=arrival, slew=ramp_slew, vdd=vdd,
+        rising=v_out.polarity() == "rising")
+    return ramp, arrival, slew, substituted
+
+
+class _DedupJobs:
+    """Transient jobs of one ``run_jobs`` call, one per content key."""
+
+    def __init__(self) -> None:
+        self.jobs: list[TransientJob] = []
+        self._slots: dict[tuple, int] = {}
+
+    def add(self, key: tuple, build, *args) -> int:
+        """Slot of the job under ``key``, built by ``build(*args)`` on
+        first sight."""
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self.jobs)
+            self.jobs.append(build(*args))
+        return slot
+
+
 def propagate_path(
     stages: list[NoisyStage],
     input_ramp: SaturatedRamp,
@@ -372,129 +481,172 @@ def propagate_path(
     Returns
     -------
     list[StageTiming]
-        One entry per stage, in path order.
+        One entry per stage, in path order.  The path is a front of one
+        in :func:`propagate_paths`.
     """
     require(len(stages) >= 1, "need at least one stage")
+    return propagate_paths(
+        [stages], input_ramp, technique=technique, dt=dt,
+        settle_margin=settle_margin, full_waveform=full_waveform,
+        slew_fallback=slew_fallback, quiet_cache=quiet_cache,
+        solver_backend=solver_backend, adaptive=adaptive,
+        execution=execution, window_end=window_end)[0]
+
+
+def propagate_paths(
+    paths: "list[list[NoisyStage]]",
+    input_ramp: SaturatedRamp,
+    technique: Technique | None = None,
+    dt: float = 2e-12,
+    settle_margin: float = 800e-12,
+    full_waveform: bool = False,
+    slew_fallback: float | None = 100e-12,
+    quiet_cache: QuietReferenceCache | None = None,
+    solver_backend: str = "auto",
+    adaptive: bool | None = None,
+    execution: ExecutionConfig | None = None,
+    window_end: float | None = None,
+) -> list[list[StageTiming]]:
+    """Propagate K equal-length paths stage by stage, as one front.
+
+    Every stage makes one :func:`~repro.exec.run_jobs` call for all
+    stage simulations and missing quiet references, then (technique
+    mode) one call for all re-time simulations, so same-topology jobs
+    of different paths share one stacked Newton group.  Paths whose
+    ``(stage, stimulus)`` pair is equal at a stage are solved once and
+    share that stage's :class:`StageTiming` object; equal jobs (an
+    aggressor-free stage and its own quiet reference, equal re-time
+    waveforms) are submitted once.  The quiet cache still sees one
+    lookup per path per stage.
+
+    Parameters are those of :func:`propagate_path`, which is this
+    function on a front of one path.
+
+    Returns
+    -------
+    list[list[StageTiming]]
+        One timing list per path, in input order.
+    """
+    paths = [list(path) for path in paths]
+    require(len(paths) >= 1, "need at least one path")
+    n_stages = len(paths[0])
+    require(n_stages >= 1, "need at least one stage")
+    require(all(len(path) == n_stages for path in paths),
+            "paths of one front must have equal length")
     tech = technique or Sgdp()
     sim_opts = TransientOptions(backend=solver_backend,
                                 adaptive=resolve_adaptive(adaptive))
+    # The stepping mode keys quiet-cache entries (an adaptive reference
+    # lives on a different grid); the solver backend deliberately does not.
+    opts_key = (dt, sim_opts.adaptive, sim_opts.lte_rtol, sim_opts.lte_atol,
+                sim_opts.max_step, sim_opts.min_step)
     cache = quiet_cache if quiet_cache is not None else _QUIET_CACHE
-    results: list[StageTiming] = []
-    stimulus: "Waveform | SaturatedRamp" = input_ramp
+    results: list[list[StageTiming]] = [[] for _ in paths]
+    stimuli: "list[Waveform | SaturatedRamp]" = [input_ramp] * len(paths)
 
-    for stage_index, stage in enumerate(stages):
-        vdd = stage.driver.vdd
-        if isinstance(stimulus, SaturatedRamp):
-            t0 = stimulus.t_begin - 100e-12
-            t1 = stimulus.t_finish + settle_margin
-            wave_in = stimulus.to_waveform(t0, t1)
-        else:
-            wave_in = stimulus
-            t1 = wave_in.t_end
+    for stage_index in range(n_stages):
+        slot_of: dict[tuple, int] = {}
+        member = [slot_of.setdefault((path[stage_index], stim), len(slot_of))
+                  for path, stim in zip(paths, stimuli)]
+        pairs = list(slot_of)
 
-        # The aggressor windows may extend past the victim stimulus.
-        for agg in stage.aggressors:
-            t1 = max(t1, agg.transition_start + agg.slew / 0.8 + settle_margin)
-        if window_end is not None:
-            t1 = max(t1, window_end)
-
-        circuit, _, far, out = _build_stage_circuit(stage, vdd)
-        if wave_in.t_end < t1:
-            wave_in = Waveform(list(wave_in.times) + [t1],
-                               list(wave_in.values) + [wave_in.v_final])
-        circuit.vsource("Vin", "in", "0", wave_in)
-        initial = _stage_initial(stage, vdd, wave_in.v_initial)
-        jobs = [TransientJob(circuit, t_stop=t1, dt=dt,
-                             t_start=wave_in.t_start, initial_voltages=initial,
-                             options=sim_opts)]
+        # A job key (stage, input waveform, window end) names one stage
+        # simulation; dt and the stepping options are common to the call.
+        sims = _DedupJobs()
+        windows: list[tuple[Waveform, float]] = []
+        stage_slots: list[int] = []
+        quiet_keys: list[tuple] = []
+        for stage, stimulus in pairs:
+            wave_in, t1 = _stage_stimulus(stage, stimulus, settle_margin,
+                                          window_end)
+            windows.append((wave_in, t1))
+            job = (stage, wave_in, t1)
+            stage_slots.append(sims.add(job, _stage_job, *job, dt, sim_opts))
+            quiet_keys.append(
+                (dataclasses.replace(stage, aggressors=()), wave_in, t1)
+                + opts_key)
 
         # Noiseless reference for the receiver: same stage, quiet
         # aggressors — memoised per (stage config, stimulus, window, dt).
-        quiet = NoisyStage(driver=stage.driver, line=stage.line,
-                           receiver=stage.receiver, aggressors=(),
-                           receiver_load=stage.receiver_load)
-        # The stepping mode keys the entry (an adaptive reference lives
-        # on a different grid); the solver backend deliberately does not.
-        quiet_key = (quiet, wave_in, t1, dt, sim_opts.adaptive,
-                     sim_opts.lte_rtol, sim_opts.lte_atol,
-                     sim_opts.max_step, sim_opts.min_step)
-        quiet_pair = cache.lookup(quiet_key)
-        if quiet_pair is None:
-            qc, _, qfar, qout = _build_stage_circuit(quiet, vdd)
-            qc.vsource("Vin", "in", "0", wave_in)
-            jobs.append(TransientJob(
-                qc, t_stop=t1, dt=dt, t_start=wave_in.t_start,
-                initial_voltages=_stage_initial(quiet, vdd, wave_in.v_initial),
-                options=sim_opts))
+        # One lookup per path; a key an earlier path of this front
+        # already looked up is answered by that lookup.  An
+        # aggressor-free stage is its own quiet reference (same job key).
+        quiet_pairs: dict[tuple, tuple[Waveform, Waveform]] = {}
+        quiet_slots: dict[tuple, int] = {}
+        for slot in member:
+            key = quiet_keys[slot]
+            if key in quiet_pairs or key in quiet_slots:
+                cache.hit_in_front()
+                continue
+            pair = cache.lookup(key)
+            if pair is not None:
+                quiet_pairs[key] = pair
+            else:
+                job = key[:3]
+                quiet_slots[key] = sims.add(job, _stage_job, *job, dt,
+                                            sim_opts)
 
-        # Aggressor-free stages share a topology with their quiet
-        # reference, so this advances both through one stacked solve.
-        sims = run_jobs(jobs, execution)
-        v_far = sims[0].waveform(far)
-        v_out = sims[0].waveform(out)
-        if quiet_pair is None:
-            quiet_pair = (sims[1].waveform(qfar), sims[1].waveform(qout))
-            cache.store(quiet_key, quiet_pair)
+        waves = [(sim.waveform("far"), sim.waveform("out"))
+                 for sim in run_jobs(sims.jobs, execution)]
+        for key, job_slot in quiet_slots.items():
+            quiet_pairs[key] = waves[job_slot]
+            cache.store(key, waves[job_slot])
 
-        inputs = PropagationInputs(
-            v_in_noisy=v_far, vdd=vdd,
-            v_in_noiseless=quiet_pair[0],
-            v_out_noiseless=quiet_pair[1],
-        )
-        gamma_in = tech.equivalent_waveform(inputs)
+        retimes = _DedupJobs()
+        staged: "list[tuple[StageTiming, int | None]]" = []
+        for slot, (stage, _) in enumerate(pairs):
+            vdd = stage.driver.vdd
+            wave_in, t1 = windows[slot]
+            v_far, v_out = waves[stage_slots[slot]]
+            q_far, q_out = quiet_pairs[quiet_keys[slot]]
+            gamma_in = tech.equivalent_waveform(PropagationInputs(
+                v_in_noisy=v_far, vdd=vdd,
+                v_in_noiseless=q_far, v_out_noiseless=q_out))
+            # Summary of the receiver *output* as (arrival, slew) — what a
+            # conventional STA would carry across the stage boundary.
+            out_ramp, arrival, out_slew, out_substituted = _output_ramp(
+                v_out, vdd, slew_fallback,
+                f"stage {stage_index} receiver output")
+            retime_slot = None
+            if not full_waveform:
+                # Re-time the receiver from the equivalent input waveform:
+                # the next stage sees only the abstraction, as a real STA
+                # would.
+                g0 = gamma_in.t_begin - 100e-12
+                g1 = gamma_in.t_finish + settle_margin
+                gamma_wave = gamma_in.to_waveform(min(g0, wave_in.t_start),
+                                                  max(g1, t1))
+                retime_slot = retimes.add(
+                    (stage.receiver, stage.receiver_load, vdd, gamma_wave),
+                    _retime_job, stage.receiver, stage.receiver_load, vdd,
+                    gamma_wave, dt, sim_opts)
+            staged.append((StageTiming(
+                ramp=out_ramp,
+                v_receiver_in=v_far,
+                v_receiver_out=v_out,
+                output_arrival=arrival,
+                output_slew=out_slew,
+                output_slew_substituted=out_substituted,
+            ), retime_slot))
 
-        arrival = v_out.arrival_time(vdd, which="last")
-        try:
-            out_slew = v_out.slew(vdd)
-        except ValueError:
-            out_slew = float("nan")
-        ramp_slew, out_substituted = _slew_or_fallback(
-            out_slew, slew_fallback, f"stage {stage_index} receiver output")
-        out_rising = v_out.polarity() == "rising"
-        # Summary of the receiver *output* as (arrival, slew) — what a
-        # conventional STA would carry across the stage boundary.
-        out_ramp = SaturatedRamp.from_arrival_slew(
-            arrival=arrival, slew=ramp_slew, vdd=vdd, rising=out_rising)
+        retimed = ([sim.waveform("out")
+                    for sim in run_jobs(retimes.jobs, execution)]
+                   if retimes.jobs else [])
+        timings: list[StageTiming] = []
+        next_stimuli: "list[Waveform | SaturatedRamp]" = []
+        for (stage, _), (timing, retime_slot) in zip(pairs, staged):
+            if retime_slot is None:
+                next_stimuli.append(timing.v_receiver_out)
+            else:
+                ramp, _, _, substituted = _output_ramp(
+                    retimed[retime_slot], stage.driver.vdd, slew_fallback,
+                    f"stage {stage_index} re-timed output")
+                next_stimuli.append(ramp)
+                timing = dataclasses.replace(
+                    timing, retime_slew_substituted=substituted)
+            timings.append(timing)
 
-        retime_substituted = False
-        if full_waveform:
-            stimulus = v_out
-        else:
-            # Re-time the receiver from the equivalent input waveform: the
-            # next stage sees only the abstraction, as a real STA would.
-            g0 = gamma_in.t_begin - 100e-12
-            g1 = gamma_in.t_finish + settle_margin
-            gamma_wave = gamma_in.to_waveform(min(g0, wave_in.t_start), max(g1, t1))
-            re_c = Circuit("retime")
-            re_c.vsource("Vdd", "vdd", "0", vdd)
-            stage.receiver.instantiate(re_c, "recv", "far", "out", "vdd")
-            re_c.capacitor("cl", "out", "0", stage.receiver_load)
-            re_c.vsource("Vfar", "far", "0", gamma_wave)
-            re_init = {"far": gamma_wave.v_initial, "vdd": vdd,
-                       "out": vdd - gamma_wave.v_initial}
-            re_sim = run_jobs([TransientJob(
-                re_c, t_stop=gamma_wave.t_end, dt=dt,
-                t_start=gamma_wave.t_start, initial_voltages=re_init,
-                options=sim_opts)], execution)[0]
-            re_v_out = re_sim.waveform("out")
-            arr = re_v_out.arrival_time(vdd, which="last")
-            try:
-                slw = re_v_out.slew(vdd)
-            except ValueError:
-                slw = float("nan")
-            slw, retime_substituted = _slew_or_fallback(
-                slw, slew_fallback, f"stage {stage_index} re-timed output")
-            stimulus = SaturatedRamp.from_arrival_slew(
-                arrival=arr, slew=slw, vdd=vdd,
-                rising=re_v_out.polarity() == "rising")
-
-        results.append(StageTiming(
-            ramp=out_ramp,
-            v_receiver_in=v_far,
-            v_receiver_out=v_out,
-            output_arrival=arrival,
-            output_slew=out_slew,
-            output_slew_substituted=out_substituted,
-            retime_slew_substituted=retime_substituted,
-        ))
+        for p, slot in enumerate(member):
+            results[p].append(timings[slot])
+            stimuli[p] = next_stimuli[slot]
     return results

@@ -20,6 +20,8 @@ paper's noise-aware propagation: aggressor alignments jitter per sample,
 while the shared simulation window is pinned (``window_end``) so the
 noiseless quiet reference — which does not depend on the alignment —
 keeps one cache/store key across the whole sweep and is solved once.
+Its samples propagate stage-major, a front of samples per batched
+stage solve.
 """
 
 from __future__ import annotations
@@ -48,6 +50,12 @@ __all__ = [
     "run_sta_monte_carlo",
     "run_noise_monte_carlo",
 ]
+
+#: Samples per front of :func:`run_noise_monte_carlo`: a fixed index
+#: range propagated stage-major as one batch, and the unit a journal
+#: resume re-solves — at most this many samples of work are lost to a
+#: crash.
+_MC_FRONT = 32
 
 #: Stream-family salt so SSTA draws never collide with other consumers
 #: of the same base seed.
@@ -311,6 +319,16 @@ def run_sta_monte_carlo(
                     quantiles=quantiles, diag=diag)
 
 
+def _jittered(stages: list, offsets: list[float]) -> list:
+    """``stages`` with every aggressor shifted by its sample offset
+    (stage-major, aggressor-minor, the draw order)."""
+    shifts = iter(offsets)
+    return [dataclasses.replace(stage, aggressors=tuple(
+        dataclasses.replace(agg, transition_start=agg.transition_start
+                            + next(shifts))
+        for agg in stage.aggressors)) for stage in stages]
+
+
 def run_noise_monte_carlo(
     stages,
     input_ramp,
@@ -327,22 +345,29 @@ def run_noise_monte_carlo(
     """Monte-Carlo over aggressor alignments through noise-aware STA.
 
     Each sample shifts every aggressor's ``transition_start`` by its own
-    normal draw (σ = ``sigma_align``) and re-propagates the path with
-    :func:`~repro.sta.noise_aware.propagate_path`.  All samples share one
-    pinned simulation window (``window_end`` = the latest window any
-    sample needs), so the alignment-independent quiet reference keeps a
-    single cache/store key for the whole sweep: with a configured result
-    store, a warm rerun performs zero transient solves.
+    normal draw (σ = ``sigma_align``) and re-propagates the path.  All
+    samples share one pinned simulation window (``window_end`` = the
+    latest window any sample needs), so the alignment-independent quiet
+    reference keeps a single cache/store key for the whole sweep: with a
+    configured result store, a warm rerun performs zero transient solves.
 
-    Samples run sequentially in-process — the parallelism (and the
-    memoisation) lives inside ``propagate_path``'s execution layer — and
-    each draws from its own indexed stream, so results are independent
-    of the execution configuration.
+    Samples run in *fronts*: fixed index ranges of ``_MC_FRONT`` (32)
+    samples whose jittered paths go through
+    :func:`~repro.sta.noise_aware.propagate_paths` together, so each
+    stage of a front is two batched ``run_jobs`` calls (the parallelism
+    and the memoisation live in that execution layer), and samples with
+    equal stage inputs are solved once.  Each sample draws from its own
+    indexed stream, and a front's members depend only on its index
+    range, so results are independent of the execution configuration.
+    With a journal, a front's rows are recorded once the whole front
+    has finished, and a resumed sweep re-solves every front that is not
+    fully journaled as a whole — the resumed rows are byte-identical to
+    an uninterrupted run's.
 
     Returns an :class:`McResult` whose rows carry the path-output
     ``arrival`` (keyed ``"out"``) per sample.
     """
-    from .noise_aware import NoisyStage, propagate_path  # cycle-free import
+    from .noise_aware import propagate_paths  # cycle-free import
 
     n = int(knob("REPRO_MC_SAMPLES") if samples is None else samples)
     base_seed = int(knob("REPRO_MC_SEED") if seed is None else seed)
@@ -377,41 +402,37 @@ def run_noise_monte_carlo(
     done = jr.completed() if jr is not None else {}
 
     rows: list[dict] = []
-    for i in range(n):
-        if i in done:
-            row = done[i]
-            rows.append(row)
-            if on_sample is not None:
-                on_sample(row)
-            continue
-        per_sample = offsets[i]
-        k = 0
-        jittered: list[NoisyStage] = []
-        for stage in stages:
-            aggs = []
-            for agg in stage.aggressors:
-                aggs.append(dataclasses.replace(
-                    agg,
-                    transition_start=agg.transition_start + per_sample[k]))
-                k += 1
-            jittered.append(dataclasses.replace(stage, aggressors=tuple(aggs)))
-        timings = propagate_path(
-            jittered, input_ramp, technique=technique, dt=dt,
-            settle_margin=settle_margin, execution=execution,
-            window_end=window_end if sigma_align > 0 else None)
-        row = {"index": i,
-               "arrival": {"out": timings[-1].output_arrival},
-               "offsets": list(per_sample)}
-        if jr is not None:
-            jr.record(i, row)
-        rows.append(row)
+    computed = 0
+    for start in range(0, n, _MC_FRONT):
+        front = range(start, min(n, start + _MC_FRONT))
+        if all(i in done for i in front):
+            front_rows = [done[i] for i in front]
+        else:
+            # A front is solved whole, so its members (and with them the
+            # batched solves' bits) never depend on where a crash hit.
+            timings = propagate_paths(
+                [_jittered(stages, offsets[i]) for i in front], input_ramp,
+                technique=technique, dt=dt, settle_margin=settle_margin,
+                execution=execution,
+                window_end=window_end if sigma_align > 0 else None)
+            front_rows = [{"index": i,
+                           "arrival": {"out": path[-1].output_arrival},
+                           "offsets": list(offsets[i])}
+                          for i, path in zip(front, timings)]
+            computed += len(front_rows)
+            if jr is not None:
+                # Recorded only once the whole front has finished.
+                for row in front_rows:
+                    if row["index"] not in done:
+                        jr.record(row["index"], row)
+        rows.extend(front_rows)
         if on_sample is not None:
-            on_sample(row)
+            for row in front_rows:
+                on_sample(row)
 
     diag: dict = {"window_end": window_end}
     if jr is not None:
-        diag["journal"] = {"resumed": len(done),
-                           "computed": n - len(done)}
+        diag["journal"] = {"resumed": n - computed, "computed": computed}
         jr.finish()
     quantiles = {"arrival": {"out": _quantiles(
         [r["arrival"]["out"] for r in rows])}}

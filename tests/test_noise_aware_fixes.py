@@ -1,8 +1,11 @@
-"""Quiet-reference memoisation and the slew-fallback policy of
-:func:`repro.sta.noise_aware.propagate_path`."""
+"""Quiet-reference memoisation, the slew-fallback policy and the
+stage-major front of :func:`repro.sta.noise_aware.propagate_path` /
+:func:`~repro.sta.noise_aware.propagate_paths`."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.ramp import SaturatedRamp
@@ -15,8 +18,10 @@ from repro.sta.noise_aware import (
     _slew_or_fallback,
     clear_quiet_cache,
     propagate_path,
+    propagate_paths,
     quiet_cache_stats,
 )
+from repro.sta import noise_aware
 
 VDD = 1.2
 
@@ -145,3 +150,94 @@ class TestSlewFallbackPolicy:
             propagate_path([quiet_stage], input_ramp, dt=4e-12,
                            slew_fallback=None,
                            quiet_cache=QuietReferenceCache())
+
+
+@pytest.fixture
+def run_jobs_spy(monkeypatch):
+    """Job counts of every ``run_jobs`` call the propagation makes."""
+    calls = []
+    real = noise_aware.run_jobs
+
+    def spy(jobs, execution=None, diag=None):
+        calls.append(len(jobs))
+        return real(jobs, execution, diag)
+
+    monkeypatch.setattr(noise_aware, "run_jobs", spy)
+    return calls
+
+
+@pytest.fixture
+def jittered_paths(noisy_stage, quiet_stage):
+    """Three two-stage paths whose attacked first stage differs only in
+    the aggressor alignment."""
+    agg = noisy_stage.aggressors[0]
+    return [[dataclasses.replace(noisy_stage, aggressors=(dataclasses.replace(
+                agg, transition_start=agg.transition_start + shift),)),
+             quiet_stage]
+            for shift in (-15e-12, 0.0, 20e-12)]
+
+
+class TestQuietStageIsItsOwnReference:
+    def test_one_job_and_cached_pair_is_the_stage_simulation(
+            self, quiet_stage, input_ramp, run_jobs_spy):
+        cache = QuietReferenceCache()
+        timing = propagate_path([quiet_stage], input_ramp, dt=4e-12,
+                                quiet_cache=cache)[0]
+        assert run_jobs_spy == [1, 1]            # stage solve, re-time
+        assert cache.misses == 1 and len(cache) == 1
+        (far, out), = cache._data.values()
+        assert far is timing.v_receiver_in
+        assert out is timing.v_receiver_out
+
+
+class TestPropagatePaths:
+    KW = dict(dt=4e-12, adaptive=False)
+
+    def test_matches_separate_propagation(self, jittered_paths, input_ramp):
+        front = propagate_paths(jittered_paths, input_ramp,
+                                quiet_cache=QuietReferenceCache(), **self.KW)
+        assert len(front) == len(jittered_paths)
+        for path, batched in zip(jittered_paths, front):
+            alone = propagate_path(path, input_ramp,
+                                   quiet_cache=QuietReferenceCache(),
+                                   **self.KW)
+            for got, want in zip(batched, alone):
+                assert abs(got.output_arrival - want.output_arrival) < 0.01e-12
+                for attr in ("v_receiver_in", "v_receiver_out"):
+                    a, b = getattr(got, attr), getattr(want, attr)
+                    assert np.allclose(a.times, b.times, rtol=0, atol=1e-18)
+                    assert np.max(np.abs(a.values - b.values)) < 1e-9
+
+    def test_two_run_jobs_calls_per_stage(self, jittered_paths, input_ramp,
+                                          run_jobs_spy):
+        # A pinned window shares the quiet reference across alignments.
+        propagate_paths(jittered_paths, input_ramp, window_end=2e-9,
+                        quiet_cache=QuietReferenceCache(), **self.KW)
+        assert len(run_jobs_spy) == 2 * 2
+        # Stage 0: 3 attacked solves + 1 shared quiet reference.
+        assert run_jobs_spy[0] == 3 + 1
+
+    def test_full_waveform_mode_has_no_retime_calls(
+            self, jittered_paths, input_ramp, run_jobs_spy):
+        propagate_paths(jittered_paths, input_ramp, full_waveform=True,
+                        quiet_cache=QuietReferenceCache(), **self.KW)
+        assert len(run_jobs_spy) == 2
+
+    def test_identical_paths_deduplicate(self, noisy_stage, quiet_stage,
+                                         input_ramp, run_jobs_spy):
+        path = [noisy_stage, quiet_stage]
+        cache = QuietReferenceCache()
+        front = propagate_paths([path, path, path], input_ramp,
+                                quiet_cache=cache, **self.KW)
+        # One stage solve (+ the attacked stage's quiet reference) and
+        # one re-time per stage.
+        assert run_jobs_spy == [2, 1, 1, 1]
+        for k in range(2):
+            assert front[0][k] is front[1][k] is front[2][k]
+        # Still one lookup per path per stage: one miss per stage.
+        assert cache.misses == 2 and cache.hits == 4
+
+    def test_unequal_lengths_rejected(self, noisy_stage, input_ramp):
+        with pytest.raises(ValueError, match="equal length"):
+            propagate_paths([[noisy_stage], [noisy_stage, noisy_stage]],
+                            input_ramp, **self.KW)

@@ -145,21 +145,22 @@ def _square(i: int) -> int:
     return i * i
 
 
-class TestNoiseMonteCarlo:
-    @pytest.fixture()
-    def path(self):
-        from repro.sta.noise_aware import AggressorSpec, NoisyStage
-        agg = AggressorSpec(coupling=60e-15, transition_start=0.35e-9,
-                            rising=True, slew=120e-12,
-                            driver=make_inverter(4))
-        stage = NoisyStage(driver=make_inverter(1),
-                           line=RcLineSpec.from_length(400.0),
-                           receiver=make_inverter(4), aggressors=(agg,))
-        from repro.core.ramp import SaturatedRamp
-        ramp = SaturatedRamp.from_arrival_slew(0.3e-9, 120e-12, 1.2,
-                                               rising=False)
-        return [stage], ramp
+@pytest.fixture()
+def path():
+    from repro.sta.noise_aware import AggressorSpec, NoisyStage
+    agg = AggressorSpec(coupling=60e-15, transition_start=0.35e-9,
+                        rising=True, slew=120e-12,
+                        driver=make_inverter(4))
+    stage = NoisyStage(driver=make_inverter(1),
+                       line=RcLineSpec.from_length(400.0),
+                       receiver=make_inverter(4), aggressors=(agg,))
+    from repro.core.ramp import SaturatedRamp
+    ramp = SaturatedRamp.from_arrival_slew(0.3e-9, 120e-12, 1.2,
+                                           rising=False)
+    return [stage], ramp
 
+
+class TestNoiseMonteCarlo:
     def test_quiet_reference_solved_once(self, path):
         from repro.sta.noise_aware import clear_quiet_cache, quiet_cache_stats
         stages, ramp = path
@@ -190,6 +191,97 @@ class TestNoiseMonteCarlo:
         arrivals = [r["arrival"]["out"] for r in res.rows]
         assert arrivals[0] == arrivals[1]
         assert all(o == 0.0 for r in res.rows for o in r["offsets"])
+
+
+    def test_workers_rows_bit_identical(self, path, monkeypatch):
+        from repro.exec import pool
+        stages, ramp = path
+        sharded_calls = []
+        real = pool._run_sharded
+
+        def spy(*args, **kwargs):
+            sharded_calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pool, "_run_sharded", spy)
+        serial = run_noise_monte_carlo(stages, ramp, sigma_align=20e-12,
+                                       samples=8, seed=3, dt=4e-12,
+                                       execution=ExecutionConfig(workers=1))
+        assert not sharded_calls
+        sharded = run_noise_monte_carlo(stages, ramp, sigma_align=20e-12,
+                                        samples=8, seed=3, dt=4e-12,
+                                        execution=ExecutionConfig(workers=2))
+        assert sharded_calls  # the front's stage solve was sharded
+        assert sharded.rows == serial.rows
+
+
+class _Crash(Exception):
+    """Stands in for a process killed inside ``RunJournal.record``."""
+
+
+class TestNoiseMcJournalFronts:
+    """A resumed noise sweep re-solves every front that is not fully
+    journaled, whole, and reproduces the uninterrupted run's bytes."""
+
+    N = 10
+    FRONT = 4  # fronts [0-3], [4-7], [8-9]
+
+    def _run(self, path, store_root=None):
+        from repro.exec import ResultStore
+        from repro.sta.noise_aware import clear_quiet_cache
+        stages, ramp = path
+        clear_quiet_cache()  # each run stands for a fresh process
+        execution = (ExecutionConfig(store=ResultStore(store_root))
+                     if store_root is not None else None)
+        return run_noise_monte_carlo(stages, ramp, sigma_align=20e-12,
+                                     samples=self.N, seed=5, dt=4e-12,
+                                     execution=execution,
+                                     journal=store_root is not None)
+
+    @pytest.mark.parametrize("journaled, resumed", [
+        (0, 0),   # nothing journaled
+        (2, 0),   # part of the first front
+        (4, 4),   # exactly the first front
+        (3, 0),   # all of the first front but one sample
+        (6, 4),   # the first front and part of the second
+        (7, 4),   # the first front and all of the second but one
+    ])
+    def test_resume_byte_identical(self, path, tmp_path, monkeypatch,
+                                   journaled, resumed):
+        import json
+        import shutil
+
+        from repro.exec import RunJournal
+        from repro.sta import statistical
+
+        monkeypatch.setattr(statistical, "_MC_FRONT", self.FRONT)
+        assert self.N > statistical._MC_FRONT
+        base = self._run(path)
+        if journaled:
+            real = RunJournal.record
+            count = {"n": 0}
+
+            def dying_record(journal, index, row):
+                real(journal, index, row)
+                count["n"] += 1
+                if count["n"] == journaled:
+                    raise _Crash
+
+            monkeypatch.setattr(RunJournal, "record", dying_record)
+            with pytest.raises(_Crash):
+                self._run(path, tmp_path / "crashed")
+            monkeypatch.setattr(RunJournal, "record", real)
+            # Resume over a fresh store holding only the journal, so the
+            # unfinished fronts really re-solve (no transient store hits).
+            shutil.copytree(tmp_path / "crashed" / "journal",
+                            tmp_path / "resumed" / "journal")
+        res = self._run(path, tmp_path / "resumed")
+        assert res.diag["journal"] == {"resumed": resumed,
+                                       "computed": self.N - resumed}
+        assert res.rows == base.rows
+        assert (json.dumps(res.quantiles, sort_keys=True)
+                == json.dumps(base.quantiles, sort_keys=True))
+        assert not list((tmp_path / "resumed" / "journal").iterdir())
 
 
 class TestServiceJobKind:

@@ -12,7 +12,11 @@ Two halves, run from the repo root::
    exception) after a fixed number of journalled samples.  The rerun
    must resume at the first unfinished sample and produce quantiles
    **byte-identical** to an uninterrupted fresh run's, and the journal
-   must be gone afterwards.
+   must be gone afterwards.  A second leg does the same to a one-stage
+   noise Monte-Carlo sweep (``run_noise_monte_carlo``) longer than one
+   front, killed while it journals the middle of its second front: the
+   rerun must resume at that unfinished front, re-solve it whole over a
+   fresh store that holds only the journal, and match byte for byte.
 2. **Fault-plan matrix** — seeded storms through the registry's
    production seams: pool worker crash and wedge (results bit-identical
    to the serial path via inline re-solve), store corrupt-read healing
@@ -40,6 +44,11 @@ DATA = os.path.join(REPO, "tests", "data")
 MC_SAMPLES = 32
 MC_SEED = 1234
 KILL_AFTER = 12
+#: Noise leg: more samples than one front (``_MC_FRONT`` = 32 of
+#: ``repro.sta.statistical``), killed inside the second front's journal
+#: writes.
+NOISE_SAMPLES = 40
+NOISE_KILL_AFTER = 36
 
 REPORT: list[dict] = []
 
@@ -82,10 +91,34 @@ def run_mc(store_root: str, journal: "bool | None"):
                                execution=execution, journal=journal)
 
 
+def run_noise_mc(store_root: str, journal: "bool | None"):
+    from repro.core.ramp import SaturatedRamp
+    from repro.exec import ExecutionConfig, ResultStore
+    from repro.interconnect.rcline import RcLineSpec
+    from repro.library.cells import make_inverter
+    from repro.sta import AggressorSpec, NoisyStage, run_noise_monte_carlo
+
+    agg = AggressorSpec(coupling=60e-15, transition_start=0.35e-9,
+                        rising=True, slew=120e-12, driver=make_inverter(4))
+    stage = NoisyStage(driver=make_inverter(1),
+                       line=RcLineSpec.from_length(400.0),
+                       receiver=make_inverter(4), aggressors=(agg,))
+    ramp = SaturatedRamp.from_arrival_slew(0.3e-9, 120e-12, 1.2,
+                                           rising=False)
+    execution = ExecutionConfig(workers=1, store=ResultStore(store_root))
+    return run_noise_monte_carlo([stage], ramp, sigma_align=20e-12,
+                                 samples=NOISE_SAMPLES, seed=MC_SEED,
+                                 dt=4e-12, execution=execution,
+                                 journal=journal)
+
+
+SWEEPS = {"sta": run_mc, "noise": run_noise_mc}
+
+
 # ----------------------------------------------------------------------
 # child: journal a sweep, then die by real SIGKILL mid-run
 # ----------------------------------------------------------------------
-def child_main(store_root: str, kill_after: int) -> int:
+def child_main(store_root: str, kill_after: int, sweep: str) -> int:
     import repro.exec.journal as journal_mod
 
     orig = journal_mod.RunJournal.record
@@ -98,50 +131,84 @@ def child_main(store_root: str, kill_after: int) -> int:
             os.kill(os.getpid(), signal.SIGKILL)
 
     journal_mod.RunJournal.record = dying_record
-    run_mc(store_root, journal=True)
+    SWEEPS[sweep](store_root, journal=True)
     return 1  # unreachable when the kill fires
 
 
 # ----------------------------------------------------------------------
 # parent checks
 # ----------------------------------------------------------------------
-def check_kill_and_resume(tmp: str) -> None:
-    fresh_store = os.path.join(tmp, "fresh")
-    chaos_store = os.path.join(tmp, "chaos")
+def _journals(store_root: str) -> list[str]:
+    return [os.path.join(root, name)
+            for root, _, names in os.walk(os.path.join(store_root, "journal"))
+            for name in names if name.endswith(".jsonl")]
 
-    base = run_mc(fresh_store, journal=False)
+
+def check_kill_and_resume(tmp: str, sweep: str = "sta") -> None:
+    """Kill a journalled ``sweep`` mid-run, resume it, compare bytes.
+
+    The STA leg resumes in the killed run's store.  The noise leg
+    resumes over a fresh store holding only the journal, so the
+    unfinished front re-solves instead of replaying stored transients,
+    and it must resume exactly the fully journalled fronts.
+    """
+    run = SWEEPS[sweep]
+    kill_after = KILL_AFTER if sweep == "sta" else NOISE_KILL_AFTER
+    prefix = "" if sweep == "sta" else f"{sweep}-"
+    if sweep == "noise":
+        from repro.sta.statistical import _MC_FRONT
+
+        check("noise-spans-fronts", _MC_FRONT < kill_after < NOISE_SAMPLES,
+              f"kill after {kill_after} of {NOISE_SAMPLES} samples is not "
+              f"inside a later front of {_MC_FRONT}")
+        whole = kill_after // _MC_FRONT * _MC_FRONT
+    fresh_store = os.path.join(tmp, f"{sweep}-fresh")
+    chaos_store = os.path.join(tmp, f"{sweep}-chaos")
+
+    base = run(fresh_store, journal=False)
     blob_base = json.dumps(base.quantiles, sort_keys=True)
 
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__),
-         "--child", "--store", chaos_store,
-         "--kill-after", str(KILL_AFTER)],
+         "--child", "--store", chaos_store, "--sweep", sweep,
+         "--kill-after", str(kill_after)],
         cwd=REPO, env=dict(os.environ, PYTHONPATH="src"),
         capture_output=True, text=True, timeout=600)
-    check("child-killed", proc.returncode == -signal.SIGKILL,
+    check(f"{prefix}child-killed", proc.returncode == -signal.SIGKILL,
           f"child exited {proc.returncode}, wanted -SIGKILL:\n"
           f"{proc.stdout}{proc.stderr}", returncode=proc.returncode)
 
-    journals = [os.path.join(root, name)
-                for root, _, names in os.walk(os.path.join(chaos_store,
-                                                           "journal"))
-                for name in names if name.endswith(".jsonl")]
+    journals = _journals(chaos_store)
     lines = (sum(1 for _ in open(journals[0], "rb")) if journals else 0)
-    check("journal-survives", len(journals) == 1 and lines >= 1 + KILL_AFTER,
-          f"wanted one journal with >= {1 + KILL_AFTER} lines, "
+    check(f"{prefix}journal-survives",
+          len(journals) == 1 and lines >= 1 + kill_after,
+          f"wanted one journal with >= {1 + kill_after} lines, "
           f"found {journals} with {lines}",
           journals=len(journals), lines=lines)
 
-    res = run_mc(chaos_store, journal=True)
+    resume_store = chaos_store
+    if sweep == "noise":
+        import shutil
+
+        resume_store = os.path.join(tmp, f"{sweep}-resume")
+        shutil.copytree(os.path.join(chaos_store, "journal"),
+                        os.path.join(resume_store, "journal"))
+    res = run(resume_store, journal=True)
     jdiag = res.diag.get("journal", {})
-    check("resume-skips-done", jdiag.get("resumed", 0) >= KILL_AFTER,
-          f"resumed {jdiag}, wanted >= {KILL_AFTER} samples", **jdiag)
+    if sweep == "sta":
+        resumed_ok = jdiag.get("resumed", 0) >= kill_after
+        wanted = f">= {kill_after}"
+    else:
+        resumed_ok = jdiag == {"resumed": whole,
+                               "computed": NOISE_SAMPLES - whole}
+        wanted = f"exactly {whole} (the fully journalled fronts)"
+    check(f"{prefix}resume-skips-done", resumed_ok,
+          f"resumed {jdiag}, wanted {wanted} samples", **jdiag)
     blob_res = json.dumps(res.quantiles, sort_keys=True)
-    check("resume-bit-identical", blob_res == blob_base,
+    check(f"{prefix}resume-bit-identical", blob_res == blob_base,
           f"resumed quantiles differ:\n  fresh : {blob_base}\n"
           f"  resume: {blob_res}")
-    check("journal-cleaned-up",
-          not any(os.path.exists(p) for p in journals),
+    check(f"{prefix}journal-cleaned-up", not _journals(resume_store),
           "journal file survived a finished run")
 
 
@@ -255,20 +322,26 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--store", help=argparse.SUPPRESS)
     parser.add_argument("--kill-after", type=int, default=KILL_AFTER,
                         help=argparse.SUPPRESS)
+    parser.add_argument("--sweep", choices=sorted(SWEEPS), default="sta",
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.child:
-        return child_main(args.store, args.kill_after)
+        return child_main(args.store, args.kill_after, args.sweep)
 
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as tmp:
         check_kill_and_resume(tmp)
+        check_kill_and_resume(tmp, "noise")
         check_fault_matrix(tmp)
 
     with open(args.out, "w") as fh:
         json.dump({"tool": "chaos_smoke", "samples": MC_SAMPLES,
-                   "kill_after": KILL_AFTER, "checks": REPORT}, fh,
+                   "kill_after": KILL_AFTER,
+                   "noise_samples": NOISE_SAMPLES,
+                   "noise_kill_after": NOISE_KILL_AFTER,
+                   "checks": REPORT}, fh,
                   indent=2)
     print(f"chaos-smoke: all {len(REPORT)} checks passed -> {args.out}")
     return 0
