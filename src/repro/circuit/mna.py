@@ -15,6 +15,8 @@ Ground is index ``-1`` throughout; stamping helpers skip it.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from collections import OrderedDict
@@ -37,6 +39,17 @@ __all__ = ["MnaSystem", "stacked_newton", "SparseStampMaps",
 #: Conductance to ground added on every node diagonal for matrix robustness.
 DEFAULT_GMIN = 1e-9
 
+#: :class:`MnaSystem` attributes fixed by the topology signature (the
+#: MOSFET scatter fields exist only on systems with devices), shared
+#: between live systems of one topology.
+_COMPILED_FIELDS = (
+    "g_lin", "cap_i", "cap_j", "cap_c",
+    "mos_d", "mos_g", "mos_s", "mos_pol", "mos_beta", "mos_vth", "mos_lam",
+    "_mos_flat", "_mos_valid", "_mos_sign", "_mos_d_ok", "_mos_s_ok",
+    "_mos_flat_uniq", "_mos_jac_scatter", "_mos_rhs_uniq",
+    "_mos_rhs_scatter",
+)
+
 
 # ----------------------------------------------------------------------
 # Per-topology analysis cache
@@ -56,14 +69,21 @@ _UNCOMPUTED = object()
 
 
 class _TopologyAnalysis:
-    """Lazily filled per-topology analysis slot."""
+    """Lazily filled per-topology analysis slot.
 
-    __slots__ = ("structures", "maps", "partition")
+    ``compiled`` weakly references a live :class:`MnaSystem` of the
+    topology, whose compiled arrays (see :data:`_COMPILED_FIELDS`) later
+    systems of the same signature share instead of re-stamping them; the
+    arrays are freed with the last system holding them.
+    """
+
+    __slots__ = ("structures", "maps", "partition", "compiled")
 
     def __init__(self):
         self.structures: dict[bool, MatrixStructure] = {}
         self.maps: "SparseStampMaps | None" = None
         self.partition = _UNCOMPUTED
+        self.compiled: "weakref.ref[MnaSystem] | None" = None
 
 
 def _analysis_for(signature: tuple) -> _TopologyAnalysis:
@@ -196,7 +216,33 @@ class MnaSystem:
         self.size = self.n_nodes + self.n_branches
         require(self.size > 0, "empty circuit")
         self.branch_index = {v.name: self.n_nodes + k for k, v in enumerate(circuit.vsources)}
+        self.n_caps = len(circuit.capacitors)
+        self.n_mosfets = len(circuit.mosfets)
+        self._cap_incidence: np.ndarray | None = None
 
+        # The compiled arrays depend on the topology signature alone: a
+        # batch front compiles one system per variant of one topology,
+        # so all but the first share a live twin's arrays (read-only)
+        # instead of re-stamping an O(size²) matrix each.
+        shared = self._analysis()
+        twin = shared.compiled() if shared.compiled is not None else None
+        if twin is not None:
+            for name in _COMPILED_FIELDS:
+                if hasattr(twin, name):
+                    setattr(self, name, getattr(twin, name))
+        else:
+            self._compile(circuit, gmin)
+            shared.compiled = weakref.ref(self)
+
+        # --- sources ---------------------------------------------------
+        self._vsource_fns = [v.source for v in circuit.vsources]
+        self._isource_stamps = [
+            (self.index_of(i.node_pos), self.index_of(i.node_neg), i.source)
+            for i in circuit.isources
+        ]
+
+    def _compile(self, circuit: Circuit, gmin: float) -> None:
+        """Stamp the topology's constant matrices and device arrays."""
         # --- constant linear conductance matrix -----------------------
         g = np.zeros((self.size, self.size))
         for i in range(self.n_nodes):
@@ -220,8 +266,6 @@ class MnaSystem:
         self.cap_i = np.array([self.index_of(c.node_a) for c in circuit.capacitors], dtype=int)
         self.cap_j = np.array([self.index_of(c.node_b) for c in circuit.capacitors], dtype=int)
         self.cap_c = np.array([c.capacitance for c in circuit.capacitors], dtype=float)
-        self.n_caps = self.cap_c.size
-        self._cap_incidence: np.ndarray | None = None
 
         # --- MOSFET device arrays --------------------------------------
         mos = circuit.mosfets
@@ -232,14 +276,6 @@ class MnaSystem:
         self.mos_beta = np.array([m.beta for m in mos], dtype=float)
         self.mos_vth = np.array([m.params.vth for m in mos], dtype=float)
         self.mos_lam = np.array([m.params.lam for m in mos], dtype=float)
-        self.n_mosfets = len(mos)
-
-        # --- sources ---------------------------------------------------
-        self._vsource_fns = [v.source for v in circuit.vsources]
-        self._isource_stamps = [
-            (self.index_of(i.node_pos), self.index_of(i.node_neg), i.source)
-            for i in circuit.isources
-        ]
 
         # --- precomputed scatter indices for vectorised MOSFET stamping
         # Six Jacobian entries per device: rows (d,d,d,s,s,s) against
@@ -271,6 +307,10 @@ class MnaSystem:
             onehot_r[np.arange(rhs_rows.size), inv_r] = 1.0
             self._mos_rhs_uniq = uniq_r
             self._mos_rhs_scatter = RowScatter(onehot_r)
+        for name in _COMPILED_FIELDS:
+            value = getattr(self, name, None)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     # ------------------------------------------------------------------
     def index_of(self, node: str) -> int:

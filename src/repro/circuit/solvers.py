@@ -26,8 +26,12 @@ Three backends cover the workloads of this reproduction:
     block-tridiagonal form with k×k blocks (bandwidth ≈ k).  The permuted
     system is factored once with LAPACK's banded LU (``gbtrf``, partial
     pivoting — required because voltage-source branch rows carry zero
-    diagonals) and every subsequent solve is a ``gbtrs`` sweep: O(n·b²)
-    factor, O(n·b) per solve for bandwidth b.
+    diagonals) and a single right-hand side is a ``gbtrs`` sweep: O(n·b²)
+    factor, O(n·b) per solve for bandwidth b.  Stacked right-hand sides
+    go through a partitioned (SPIKE) form of the same band instead —
+    ``gbtrs`` pays one BLAS call per row per right-hand side, the
+    partitioned solve a handful of batched matrix products (see
+    :class:`_PartitionedBand`).
 
 ``sparse``
     SuperLU on the CSC form (:func:`scipy.sparse.linalg.splu`).  Wins on
@@ -129,6 +133,20 @@ _MIN_NEWTON_SIZE = 64
 #: complement is refactorised dense every Newton iteration, so the
 #: border must stay gate-sized while the core carries the interconnect.
 _MAX_BORDER = 64
+#: Interface-size ceiling of the partitioned band solve: its reduced
+#: system (2·bandwidth unknowns per partition) is inverted explicitly.
+_MAX_INTERFACE = 2048
+#: Agreement (relative to the largest solution entry) a partitioned band
+#: operator must show with the band LU on a probe before it is used.
+_PARTITION_PROBE_TOL = 1e-10
+#: Stacked solves below this many rows × right-hand sides keep the
+#: ``gbtrs`` sweep: the partitioned solve's fixed cost of ~8 array calls
+#: only pays off above it (measured on RC lines and 3-line bundles of
+#: 14–582 unknowns at 2–16 right-hand sides).
+_PARTITION_MIN_WORK = 1024
+
+#: Sentinel: partitioned operator not built yet (``None`` = not usable).
+_UNBUILT = object()
 
 
 @dataclass(frozen=True)
@@ -310,6 +328,121 @@ class SparseLu:
             lambda cols: self._lu.solve(np.ascontiguousarray(cols)), rhs)
 
 
+class _PartitionedBand:
+    """SPIKE-style partitioned solve of a banded matrix.
+
+    The band-ordered matrix ``A`` (half-bandwidth ``b``) is cut into
+    ``p`` diagonal blocks ``A_j`` of ~``2·(b²·n)^(1/3)`` rows — the size
+    that balances the block work against the interface work below.
+    Neighbouring blocks couple only through ``b × b`` corners, so with
+    ``g_j = A_j⁻¹ f_j`` the solution is::
+
+        x_j = g_j − V_j·t_{j+1} − W_j·u_{j−1}
+
+    where ``t_j``/``u_j`` are the top/bottom ``b`` entries of ``x_j`` and
+    ``V_j``/``W_j`` are ``A_j⁻¹`` applied to the corners.  Restricted to
+    the tops and bottoms this is a ``2·b·p`` interface system, inverted
+    once here.  A solve is then three batched matrix products — block
+    inverses, interface inverse, spike correction — plus a gather and a
+    scatter, with the right-hand sides as the inner dimension: BLAS-3
+    work where ``gbtrs`` makes one call per row per right-hand side.
+
+    The cuts come from :func:`_band_cuts`, which keeps them off
+    zero-diagonal rows (voltage-source branch rows): such a row's only
+    entries would otherwise fall outside its block and make it singular.
+    Raises :class:`numpy.linalg.LinAlgError` when a block or the
+    interface system is singular.
+    """
+
+    def __init__(self, ap, b: int, perm: np.ndarray | None,
+                 starts: list[int]):
+        # ``ap``: the band-ordered matrix in CSR form; ``starts``: block
+        # starts plus the end (see :func:`_band_cuts`).
+        n = ap.shape[0]
+        p = len(starts) - 1
+        m = int(np.max(np.diff(starts)))
+        nb = 2 * b
+        # Blocks are padded to m rows with identity, so one stacked
+        # product covers them all; padded rows stay zero throughout.
+        blocks = np.repeat(np.eye(m)[None], p, axis=0)
+        slot = np.empty(n, dtype=np.intp)
+        ends = np.empty((p, nb), dtype=np.intp)
+        for j in range(p):
+            s, e = starts[j], starts[j + 1]
+            blocks[j, :e - s, :e - s] = ap[s:e, s:e].toarray()
+            slot[s:e] = j * m + np.arange(e - s)
+            ends[j, :b] = np.arange(b)
+            ends[j, b:] = e - s - b + np.arange(b)
+        inv = np.linalg.inv(blocks)
+        spikes = np.zeros((p, m, nb))
+        for j in range(p):
+            s, e = starts[j], starts[j + 1]
+            if j < p - 1:   # V_j: coupling to the next block's top
+                spikes[j, :, :b] = (inv[j][:, e - s - b:e - s]
+                                    @ ap[e - b:e, e:e + b].toarray())
+            if j > 0:       # W_j: coupling to the previous block's bottom
+                spikes[j, :, b:] = inv[j][:, :b] @ ap[s:s + b, s - b:s].toarray()
+        iface = np.eye(nb * p)
+        for j in range(p):
+            rows = slice(j * nb, (j + 1) * nb)
+            local = spikes[j][ends[j]]
+            if j < p - 1:
+                iface[rows, (j + 1) * nb:(j + 1) * nb + b] += local[:, :b]
+            if j > 0:
+                iface[rows, (j - 1) * nb + b:j * nb] += local[:, b:]
+        iface_inv = np.linalg.inv(iface).reshape(p, nb, nb * p)
+        # Rows of the interface inverse that yield each block's coupling
+        # inputs [t_{j+1}; u_{j-1}] (zero past either end).
+        coupling = np.zeros((p, nb, nb * p))
+        coupling[:-1, :b] = iface_inv[1:, :b]
+        coupling[1:, b:] = iface_inv[:-1, b:]
+        self._inv = inv
+        self._spikes = spikes
+        self._coupling = coupling.reshape(p * nb, nb * p)
+        self._ends = (ends + m * np.arange(p)[:, None]).ravel()
+        # Original row i → padded slot, the band permutation folded in.
+        self._slot = slot if perm is None else slot[np.argsort(perm)]
+        self._shape = (p, m, nb)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Stacked ``(B, n)`` right-hand sides → ``(B, n)`` solutions."""
+        p, m, nb = self._shape
+        width = rhs.shape[0]
+        f = np.zeros((p * m, width))
+        f[self._slot] = rhs.T
+        g = self._inv @ f.reshape(p, m, width)
+        flat = g.reshape(p * m, width)
+        coupling = (self._coupling @ flat[self._ends]).reshape(p, nb, width)
+        g -= self._spikes @ coupling
+        return flat[self._slot].T
+
+
+def _partition_count(n: int, b: int) -> int:
+    """Block count of the partitioned band solve (< 2: not worth it)."""
+    rows = 2.0 * (b * b * n) ** (1.0 / 3.0)
+    p = int(round(n / rows))
+    return p if 2 * b * p <= _MAX_INTERFACE else 0
+
+
+def _band_cuts(zero_diag: np.ndarray, b: int, p: int) -> list[int]:
+    """Starts of ~``p`` blocks of the band, followed by its end.
+
+    Blocks keep at least ``2·b`` rows (so a block couples to its two
+    neighbours only) and a cut moves forward while a zero-diagonal row
+    lies within ``b`` rows of it.
+    """
+    n = zero_diag.size
+    starts = [0]
+    for j in range(1, p):
+        k = max(int(round(j * n / p)), starts[-1] + 2 * b)
+        while k < n and zero_diag[max(0, k - b):k + b].any():
+            k += 1
+        if n - k < 2 * b:
+            break
+        starts.append(k)
+    return starts + [n]
+
+
 class BandedThomas:
     """(Block-)tridiagonal solve: RCM reordering + banded LU sweeps.
 
@@ -319,6 +452,13 @@ class BandedThomas:
     pivoting banded LU (``gbtrf``/``gbtrs``) — partial pivoting is
     mandatory because voltage-source branch rows have zero diagonals, so
     the textbook no-pivot recursion would divide by zero.
+
+    Stacked ``(B, n)`` right-hand sides of at least
+    :data:`_PARTITION_MIN_WORK` entries take a partitioned form of the
+    same band (:class:`_PartitionedBand`) when the band is long enough
+    to split.  It is built at the first such solve and used only once it
+    reproduces the band LU on a probe to :data:`_PARTITION_PROBE_TOL`;
+    single right-hand sides always take the ``gbtrs`` sweep.
     """
 
     name = "banded"
@@ -342,6 +482,34 @@ class BandedThomas:
                 f"banded LU factorization failed (gbtrf info={info})")
         self._lu, self._ipiv, self._kl, self._ku = lu, ipiv, kl, ku
         self._n = n
+        self._band = _csr_matrix((ap[rows, cols], (rows, cols)), shape=(n, n))
+        self._split = _UNBUILT
+
+    def _partitioned(self) -> _PartitionedBand | None:
+        """The partitioned operator, built on first use; ``None`` when the
+        band is too short to split, a block is singular, or it disagrees
+        with the band LU on the probe."""
+        if self._split is _UNBUILT:
+            self._split = self._build_partition()
+        return self._split
+
+    def _build_partition(self) -> _PartitionedBand | None:
+        p = _partition_count(self._n, self._kl)
+        if p < 2:
+            return None
+        starts = _band_cuts(self._band.diagonal() == 0.0, self._kl, p)
+        if len(starts) < 3:
+            return None
+        try:
+            split = _PartitionedBand(self._band, self._kl, self._perm, starts)
+        except np.linalg.LinAlgError:
+            return None
+        probe = np.cos(np.outer(np.arange(1, 3), np.arange(self._n)))
+        ref = self._band_solve(probe)
+        err = np.max(np.abs(split.solve(probe) - ref))
+        if not err <= _PARTITION_PROBE_TOL * np.max(np.abs(ref)):
+            return None
+        return split
 
     def factor_state(self) -> tuple:
         """Flat factor arrays ``(lu, ipiv, kl, ku, perm)``.
@@ -361,6 +529,19 @@ class BandedThomas:
                 f"banded LU solve failed (gbtrs info={info})")
         return x
 
+    def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Stacked ``(B, n)`` solve through the ``gbtrs`` sweep."""
+        if self._perm is not None:
+            # Permute on the row side first: the fancy index yields a
+            # fresh C-contiguous (B, n) array whose transpose is the
+            # F-contiguous view gbtrs wants — one copy total, which the
+            # solve is then free to overwrite in place.
+            x = self._sweep(rhs[:, self._perm].T, overwrite=True)
+            out = np.empty((self._n, rhs.shape[0]))
+            out[self._perm] = x
+            return out.T
+        return self._sweep(rhs.T, overwrite=False).T
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.ndim == 1:
@@ -372,16 +553,11 @@ class BandedThomas:
             out = np.empty(self._n)
             out[self._perm] = x[:, 0]
             return out
-        if self._perm is not None:
-            # Permute on the row side first: the fancy index yields a
-            # fresh C-contiguous (B, n) array whose transpose is the
-            # F-contiguous view gbtrs wants — one copy total, which the
-            # solve is then free to overwrite in place.
-            x = self._sweep(rhs[:, self._perm].T, overwrite=True)
-            out = np.empty((self._n, rhs.shape[0]))
-            out[self._perm] = x
-            return out.T
-        return self._sweep(rhs.T, overwrite=False).T
+        if rhs.shape[0] * self._n >= _PARTITION_MIN_WORK:
+            split = self._partitioned()
+            if split is not None:
+                return split.solve(rhs)
+        return self._band_solve(rhs)
 
 
 def factorize(a: np.ndarray, backend: str,

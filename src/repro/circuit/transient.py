@@ -1098,16 +1098,22 @@ def _simulate_group(jobs: Sequence[TransientJob],
             keep = steps_arr[alive] > step
             alive, rows = alive[keep], rows[keep]
             x, state = x[keep], state[keep]
-        rhs = np.zeros((alive.size, mna0.size))
-        rhs[:, src_cols] = src_vals[rows + 1]
         if linear:
-            rhs += state
+            # rhs = sources + history, built on a copy of the history
+            # (the same sums as adding both onto zeros).
+            rhs = state.copy()
+            rhs[:, src_cols] += src_vals[rows + 1]
             t0 = perf_counter() if timers is not None else 0.0
             x = solver0.solve(rhs)
             if timers is not None:
                 _phase_add(timers, "solve", perf_counter() - t0)
-            state = 2.0 * cache.cap_s_matvec(x) - state
+            history = cache.cap_s_matvec(x)
+            history *= 2.0
+            history -= state
+            state = history
         else:
+            rhs = np.zeros((alive.size, mna0.size))
+            rhs[:, src_cols] = src_vals[rows + 1]
             x, state = _advance_batch(mnas, alive, cache, x, state,
                                       times[rows], rhs, opts, stats)
         rows += 1

@@ -89,7 +89,10 @@ __all__ = ["STORE_VERSION", "KEYED_FIELDS", "NO_KEY", "UnkeyableJobError",
 #:     stamps in a stack-width-independent order: jobs that used to run
 #:     alone now run batched, and batched waveforms move at the
 #:     ~1e-15 V level.
-STORE_VERSION = 4
+#: 5 — stacked banded solves (batched linear groups, the bordered
+#:     Newton core) take a partitioned form of the band: their waveforms
+#:     move at the ~1e-12 V level.
+STORE_VERSION = 5
 
 #: Default size budget of a store (bytes) unless overridden; the value
 #: lives in :mod:`repro._knobs` next to the ``REPRO_STORE_MAX_BYTES``

@@ -16,6 +16,7 @@ import pytest
 
 from repro.circuit.mna import MnaSystem
 from repro.circuit.netlist import Circuit
+from repro.circuit import solvers
 from repro.circuit.solvers import (BandedThomas, DenseLu, SparseLu,
                                    analyze_pattern, factorize, select_backend)
 from repro.circuit.sources import RampSource
@@ -140,6 +141,74 @@ class TestFactorize:
     def test_auto_is_rejected(self):
         with pytest.raises(ValueError, match="concrete backend"):
             factorize(np.eye(3), "auto")
+
+
+class TestPartitionedBand:
+    """Stacked banded solves take the partitioned (SPIKE) form of the
+    band; a single right-hand side keeps the ``gbtrs`` sweep."""
+
+    @pytest.fixture(scope="class")
+    def bundle_system(self):
+        mna = MnaSystem(_bundle(96))
+        a = mna.g_lin.copy()
+        for i, j, c in zip(mna.cap_i, mna.cap_j, mna.cap_c):
+            MnaSystem._stamp_conductance(a, int(i), int(j), 2.0 * c / 2e-12)
+        rhs = np.random.default_rng(11).standard_normal((7, mna.size))
+        return a, mna.structure(), rhs
+
+    def test_stacked_solve_is_partitioned_and_exact(self, bundle_system):
+        a, s, rhs = bundle_system
+        solver = factorize(a, "banded", s)
+        assert solver._partitioned() is not None
+        ref = np.linalg.solve(a, rhs.T).T
+        x = solver.solve(rhs)
+        assert x.shape == rhs.shape
+        scale = np.max(np.abs(ref))
+        np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(x, solver._band_solve(rhs), rtol=0,
+                                   atol=1e-12 * scale)
+
+    def test_single_rhs_and_small_stacks_keep_band_sweep(self, bundle_system):
+        a, s, rhs = bundle_system
+        solver = factorize(a, "banded", s)
+        assert np.array_equal(solver.solve(rhs[0]),
+                              solver._band_solve(rhs[:1])[0])
+        small = rhs[:2]
+        assert small.size < solvers._PARTITION_MIN_WORK
+        assert np.array_equal(solver.solve(small), solver._band_solve(small))
+
+    def test_cuts_step_over_zero_diagonal_rows(self):
+        # A branch row (zero diagonal, coupled only to the row before it)
+        # at every nominal cut: a block starting there would hold an
+        # all-zero row.  Moved cuts keep each branch row with its node.
+        n, b = 240, 1
+        p = solvers._partition_count(n, b)
+        assert p >= 2
+        branch = {int(round(j * n / p)) for j in range(1, p)}
+        a = np.zeros((n, n))
+        for k in range(n):
+            if k in branch:
+                a[k, k - 1] = a[k - 1, k] = 1.0
+                continue
+            a[k, k] = 3.0
+            if k + 1 < n and k + 1 not in branch:
+                a[k, k + 1] = a[k + 1, k] = -1.0
+        s = analyze_pattern(a != 0.0)
+        assert s.perm is None and s.bandwidth == b
+        solver = factorize(a, "banded", s)
+        assert solver._partitioned() is not None
+        rhs = np.random.default_rng(5).standard_normal((8, n))
+        np.testing.assert_allclose(solver.solve(rhs),
+                                   np.linalg.solve(a, rhs.T).T,
+                                   rtol=0, atol=1e-12)
+
+    def test_probe_disagreement_keeps_band_sweep(self, bundle_system,
+                                                 monkeypatch):
+        a, s, rhs = bundle_system
+        monkeypatch.setattr(solvers, "_PARTITION_PROBE_TOL", -1.0)
+        solver = factorize(a, "banded", s)
+        assert solver._partitioned() is None
+        assert np.array_equal(solver.solve(rhs), solver._band_solve(rhs))
 
 
 class TestSelection:

@@ -11,6 +11,8 @@ and the per-topology analysis (pattern/RCM/partition) must be computed
 once per topology signature, not once per compiled system.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,33 @@ class TestTopologyAnalysisCache:
         assert systems[0].structure() is systems[1].structure()
         assert systems[0].sparse_maps() is systems[2].sparse_maps()
         assert systems[0].newton_partition() is systems[3].newton_partition()
+        clear_analysis_cache()
+
+    def test_compiled_arrays_shared_while_a_twin_lives(self):
+        """Systems of one topology share one read-only copy of the
+        compiled matrices and device arrays; sources stay per system."""
+        clear_analysis_cache()
+        early = build_testbench(_deep_config(24), 0.05e-9, (0.06e-9,))
+        late = build_testbench(_deep_config(24), 0.05e-9, (0.12e-9,))
+        first, second = MnaSystem(early.circuit), MnaSystem(late.circuit)
+        assert first.topology_signature() == second.topology_signature()
+        for name in ("g_lin", "cap_c", "mos_beta", "_mos_jac_scatter"):
+            assert getattr(second, name) is getattr(first, name)
+        with pytest.raises(ValueError):
+            first.g_lin[0, 0] = 1.0
+        t = 0.1e-9
+        assert not np.array_equal(first.source_rhs(t), second.source_rhs(t))
+        # Another gmin is another topology: its own arrays.
+        leaky = MnaSystem(early.circuit, gmin=1e-6)
+        assert leaky.g_lin is not first.g_lin
+        # The cache keeps no system alive: once every twin is gone the
+        # next system compiles afresh, to equal values.
+        g_lin = first.g_lin
+        del first, second
+        gc.collect()
+        third = MnaSystem(early.circuit)
+        assert third.g_lin is not g_lin
+        assert np.array_equal(third.g_lin, g_lin)
         clear_analysis_cache()
 
     def test_partition_contract(self):
